@@ -21,7 +21,6 @@ import (
 	"gossipstream/internal/megasim"
 	"gossipstream/internal/pss"
 	"gossipstream/internal/shaping"
-	"gossipstream/internal/simnet"
 	"gossipstream/internal/wire"
 )
 
@@ -47,7 +46,7 @@ func benchArenaRecycling(b *testing.B, churn bool) {
 			Shards: 1,
 			Seed:   1,
 			Queue:  megasim.QueueCalendar,
-			Net: simnet.Config{
+			Net: megasim.NetConfig{
 				BaseLatencyMedian: 20 * time.Millisecond,
 				BaseLatencySigma:  0.4,
 				JitterFrac:        0.3,

@@ -47,7 +47,7 @@ func BenchmarkMegasim2kShards1(b *testing.B) { benchMegasim(b, 2_000, 1) }
 func BenchmarkMegasim2kShards8(b *testing.B) { benchMegasim(b, 2_000, 8) }
 
 // BenchmarkMegasim*Cyclon* mirror the full-view scenarios with Cyclon
-// partial-view membership (pss.State records on the sharded engine):
+// partial-view membership (pss.State records ticked by the engine):
 // cmd/benchjson pairs each with its full-view counterpart and records the
 // overhead of realistic membership in BENCH_sim.json.
 func BenchmarkMegasim2kCyclonShards1(b *testing.B) {
@@ -302,10 +302,9 @@ func BenchmarkMegasimQueueCalendar10k(b *testing.B) {
 	benchMegasimQueue(b, 10_000, QueueCalendar)
 }
 
-// BenchmarkMegasimEventThroughput is the sharded counterpart of
-// BenchmarkSimulatorEventThroughput: events per wall-second at a size the
-// single-threaded kernel also handles, for apples-to-apples engine
-// comparisons.
+// BenchmarkMegasimEventThroughput is the parallel counterpart of
+// BenchmarkSimulatorEventThroughput: events per wall-second of a 2k-node
+// run on 8 shards, against the latter's scaled paper deployment on one.
 func BenchmarkMegasimEventThroughput(b *testing.B) {
 	cfg := ScaledExperiment(2_000, 8, simulatedScale)
 	cfg.Seed = 1

@@ -197,29 +197,13 @@ func BenchmarkAblationRetryRandomUnderChurn(b *testing.B) {
 
 // Ablation: membership substrate. The paper assumes free global
 // membership; Cyclon partial views pay for sampling with shuffle traffic
-// on the same capped uplinks. The Sharded pair runs the same comparison
-// on the sharded engine (pss.State records ticked by megasim) so the
-// substrates stay comparable on both engines.
+// on the same capped uplinks.
 func BenchmarkAblationMembershipFull(b *testing.B) {
 	benchAblation(b, func(cfg *ExperimentConfig) { cfg.Membership = MembershipFull })
 }
 
 func BenchmarkAblationMembershipCyclon(b *testing.B) {
 	benchAblation(b, func(cfg *ExperimentConfig) { cfg.Membership = MembershipCyclon })
-}
-
-func BenchmarkAblationMembershipFullSharded(b *testing.B) {
-	benchAblation(b, func(cfg *ExperimentConfig) {
-		cfg.Membership = MembershipFull
-		cfg.Shards = 4
-	})
-}
-
-func BenchmarkAblationMembershipCyclonSharded(b *testing.B) {
-	benchAblation(b, func(cfg *ExperimentConfig) {
-		cfg.Membership = MembershipCyclon
-		cfg.Shards = 4
-	})
 }
 
 // Raw engine throughput: simulated events per second of one default run.

@@ -9,7 +9,7 @@
 // The tool shells out to `go test -bench` so the numbers are exactly what
 // the standard harness reports, then parses the text output. When both
 // 1-shard and 8-shard rows of a megasim size are present it also records
-// the parallel speedup — the headline number for the sharded engine.
+// the parallel speedup — the headline number for the parallel engine.
 package main
 
 import (
@@ -436,9 +436,7 @@ func scenarios(results []Result) map[string]map[string]float64 {
 // cyclonOverheads derives cyclon-over-full wall-time ratios per
 // scenario, pairing each "...Cyclon..." result with its full-view
 // counterpart: the same name minus the marker
-// ("Megasim2kCyclonShards1" / "Megasim2kShards1") or with the marker
-// replaced by "Full" ("AblationMembershipCyclonSharded" /
-// "AblationMembershipFullSharded").
+// ("Megasim2kCyclonShards1" / "Megasim2kShards1").
 func cyclonOverheads(results []Result) map[string]float64 {
 	byName := map[string]float64{}
 	for _, r := range results {
@@ -449,12 +447,8 @@ func cyclonOverheads(results []Result) map[string]float64 {
 		if !strings.Contains(name, "Cyclon") {
 			continue
 		}
-		for _, counterpart := range []string{"", "Full"} {
-			base := strings.Replace(name, "Cyclon", counterpart, 1)
-			if full, ok := byName[base]; ok && full > 0 {
-				out[name] = cyclon / full
-				break
-			}
+		if full, ok := byName[strings.Replace(name, "Cyclon", "", 1)]; ok && full > 0 {
+			out[name] = cyclon / full
 		}
 	}
 	if len(out) == 0 {

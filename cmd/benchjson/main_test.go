@@ -22,21 +22,15 @@ func TestCyclonOverheadsPairing(t *testing.T) {
 		// Marker-removal pairing (scale scenarios).
 		{Name: "Megasim2kShards1", NsPerOp: 10e9},
 		{Name: "Megasim2kCyclonShards1", NsPerOp: 11e9},
-		// Marker-to-Full pairing (ablation scenarios).
-		{Name: "AblationMembershipFullSharded", NsPerOp: 2e9},
-		{Name: "AblationMembershipCyclonSharded", NsPerOp: 3e9},
 		// Unpaired Cyclon row: no counterpart, no entry.
 		{Name: "Megasim10kCyclonShards8", NsPerOp: 70e9},
 	}
 	got := cyclonOverheads(results)
-	if len(got) != 2 {
-		t.Fatalf("overheads = %v, want exactly 2 pairs", got)
+	if len(got) != 1 {
+		t.Fatalf("overheads = %v, want exactly 1 pair", got)
 	}
 	if math.Abs(got["Megasim2kCyclonShards1"]-1.1) > 1e-9 {
 		t.Fatalf("scale pair ratio = %v, want 1.1", got["Megasim2kCyclonShards1"])
-	}
-	if math.Abs(got["AblationMembershipCyclonSharded"]-1.5) > 1e-9 {
-		t.Fatalf("ablation pair ratio = %v, want 1.5", got["AblationMembershipCyclonSharded"])
 	}
 }
 

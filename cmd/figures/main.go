@@ -4,7 +4,7 @@
 //	figures                         # full paper scale (230 nodes, ≈212 s streams)
 //	figures -scale 0.2              # quick pass at reduced scale
 //	figures -only 1,2               # selected figures
-//	figures -only 1 -nodes 10000 -shards 8   # fanout sweep at 10k nodes (sharded engine)
+//	figures -only 1 -nodes 10000 -shards 8   # fanout sweep at 10k nodes on 8 parallel shards
 package main
 
 import (
@@ -35,14 +35,14 @@ func run(args []string, out io.Writer) error {
 		scale   = fs.Float64("scale", 1.0, "scale factor for nodes and stream length (0,1]")
 		seed    = fs.Int64("seed", 1, "simulation seed")
 		nodes   = fs.Int("nodes", 0, "override system size (0 = paper scale; the sweeps' scale axis)")
-		shards  = fs.Int("shards", 0, "simulation shards (0 = single-threaded kernel, >=1 = sharded engine)")
-		queue   = fs.String("queue", "heap", "sharded-engine scheduler: heap or calendar (same results, different wall time; needs -shards >= 1)")
+		shards  = fs.Int("shards", 1, "parallel engine shards (results are deterministic per seed and shard count)")
+		queue   = fs.String("queue", "heap", "engine scheduler: heap or calendar (same results, different wall time)")
 		members = fs.String("membership", "full", "membership substrate for every sweep: full or cyclon")
-		churnAt = fs.String("churn", "0", "base churn for every sweep: a fraction failing mid-stream; poisson:<join>,<leave> or graceful:<join>,<leave> fractions of the population per second; or flash:<mult>,<secs>[,<start-secs>] (needs -membership cyclon and -shards >= 1)")
+		churnAt = fs.String("churn", "0", "base churn for every sweep: a fraction failing mid-stream; poisson:<join>,<leave> or graceful:<join>,<leave> fractions of the population per second; or flash:<mult>,<secs>[,<start-secs>] (joins need -membership cyclon)")
 		outDir  = fs.String("out", "figures", "directory for figure text files")
 		only    = fs.String("only", "", "comma-separated figure selection, e.g. 1,2,7 (default all)")
 
-		streaming = fs.Bool("streaming", false, "fold quality metrics at engine barriers instead of retaining per-node state (needs -shards >= 1); figure columns are bit-identical. Figure 4 and the churn claim need retained state and ignore it")
+		streaming = fs.Bool("streaming", false, "fold quality metrics at engine barriers instead of retaining per-node state; figure columns are bit-identical. Figure 4 and the churn claim need retained state and ignore it")
 		teleOut   = fs.String("telemetry", "", "write a JSON campaign manifest (config plus every generated table) to this path (- = stdout)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -54,14 +54,11 @@ func run(args []string, out io.Writer) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
-	if *shards < 0 {
-		return fmt.Errorf("-shards %d: want >= 0", *shards)
+	if *shards < 1 {
+		return fmt.Errorf("-shards %d: want >= 1", *shards)
 	}
 	if *nodes < 0 {
 		return fmt.Errorf("-nodes %d: want >= 0", *nodes)
-	}
-	if *streaming && *shards < 1 {
-		return fmt.Errorf("-streaming requires -shards >= 1 (barrier folding is a sharded-engine feature)")
 	}
 
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
@@ -70,7 +67,7 @@ func run(args []string, out io.Writer) error {
 	base := gossipstream.DefaultExperiment()
 	base.Seed = *seed
 	// -nodes and -shards re-run the sweeps beyond the paper's 230-node
-	// testbed on the sharded engine (ROADMAP: the Figure 1/3 scale axis);
+	// testbed on parallel shards (the Figure 1/3 scale axis);
 	// -membership and -churn put every sweep over partial views and/or
 	// under churn — "-membership cyclon -churn poisson:0.01,0.01" runs the
 	// Figure-style sweeps under sustained join/leave with runtime

@@ -16,7 +16,7 @@ func TestFlagValidation(t *testing.T) {
 	}{
 		{"negative shards", []string{"-shards", "-1"}},
 		{"negative nodes", []string{"-nodes", "-5"}},
-		{"streaming needs shards", []string{"-streaming"}},
+		{"zero shards", []string{"-shards", "0"}},
 		{"unknown flag", []string{"-bogus"}},
 		{"stray argument", []string{"extra"}},
 	}
@@ -40,9 +40,8 @@ func TestHelpIsNotAnError(t *testing.T) {
 	}
 }
 
-// TestSmokeShardedFigure1 runs the Figure 1 fanout sweep on the sharded
-// engine at tiny scale — the ROADMAP's "wire cmd/figures to Config.Shards"
-// item — and checks a table lands on disk.
+// TestSmokeShardedFigure1 runs the Figure 1 fanout sweep on two parallel
+// shards at tiny scale and checks a table lands on disk.
 func TestSmokeShardedFigure1(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer

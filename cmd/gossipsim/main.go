@@ -9,7 +9,7 @@
 //
 //	gossipsim -refresh 0 -churn 0.3
 //
-// Example — 100k nodes on the sharded engine, 8 shards, a short stream:
+// Example — 100k nodes on 8 parallel shards, a short stream:
 //
 //	gossipsim -nodes 100000 -shards 8 -windows 14
 //
@@ -59,22 +59,22 @@ func run(args []string, out io.Writer) error {
 	fs.SetOutput(out)
 	var (
 		nodes   = fs.Int("nodes", 230, "system size including the source")
-		shards  = fs.Int("shards", 0, "simulation shards (0 = single-threaded kernel, >=1 = sharded engine)")
-		queue   = fs.String("queue", "heap", "sharded-engine scheduler: heap or calendar (same results, different wall time; needs -shards >= 1)")
+		shards  = fs.Int("shards", 1, "parallel engine shards (results are deterministic per seed and shard count)")
+		queue   = fs.String("queue", "heap", "engine scheduler: heap or calendar (same results, different wall time)")
 		members = fs.String("membership", "full", "membership substrate: full (paper's global view) or cyclon (partial views)")
 		fanout  = fs.Int("fanout", 7, "gossip fanout f")
 		refresh = fs.Int("refresh", 1, "view refresh rate X (0 = never, the paper's ∞)")
 		feed    = fs.Int("feed", 0, "feed-me rate Y (0 = disabled, the paper's ∞)")
 		capKbps = fs.Int64("cap", 700, "upload cap per node in kbps (0 = unlimited)")
 		windows = fs.Int("windows", 120, "stream length in 110-packet windows")
-		churnAt = fs.String("churn", "0", "churn: a fraction failing mid-stream; poisson:<join>,<leave> or graceful:<join>,<leave> fractions of the population per second (sustained; graceful leavers announce their exit); or flash:<mult>,<secs>[,<start-secs>] (a crowd joining at once; joins need -membership cyclon and -shards >= 1)")
+		churnAt = fs.String("churn", "0", "churn: a fraction failing mid-stream; poisson:<join>,<leave> or graceful:<join>,<leave> fractions of the population per second (sustained; graceful leavers announce their exit); or flash:<mult>,<secs>[,<start-secs>] (a crowd joining at once; joins need -membership cyclon)")
 		riders  = fs.Float64("freeriders", 0, "fraction of nodes that free-ride: receive the stream but never propose or serve")
 		seed    = fs.Int64("seed", 1, "simulation seed")
 		verbose = fs.Bool("v", false, "print per-node detail")
 
-		streaming = fs.Bool("streaming", false, "fold quality metrics at engine barriers instead of retaining per-node state (needs -shards >= 1); figure columns are bit-identical")
+		streaming = fs.Bool("streaming", false, "fold quality metrics at engine barriers instead of retaining per-node state; figure columns are bit-identical")
 		teleOut   = fs.String("telemetry", "", "write a JSON run manifest to this path (- = stdout)")
-		progress  = fs.Bool("progress", false, "print a live progress line to stderr (needs -shards >= 1)")
+		progress  = fs.Bool("progress", false, "print a live progress line to stderr")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this path")
 		memProf   = fs.String("memprofile", "", "write a heap profile (taken after the run) to this path")
 		traceOut  = fs.String("trace", "", "write a runtime execution trace to this path")
@@ -91,8 +91,8 @@ func run(args []string, out io.Writer) error {
 	switch {
 	case *nodes < 2:
 		return fmt.Errorf("-nodes %d: need at least a source and one peer", *nodes)
-	case *shards < 0:
-		return fmt.Errorf("-shards %d: want >= 0", *shards)
+	case *shards < 1:
+		return fmt.Errorf("-shards %d: want >= 1", *shards)
 	case *fanout < 1:
 		return fmt.Errorf("-fanout %d: want >= 1", *fanout)
 	case *refresh < 0:
@@ -134,11 +134,8 @@ func run(args []string, out io.Writer) error {
 	if *verbose && *streaming {
 		return errors.New("-v needs per-node results, which -streaming does not retain")
 	}
-	if *progress && *shards < 1 {
-		return errors.New("-progress requires -shards >= 1: snapshots are a sharded-engine capability")
-	}
 	progressDone := func() {}
-	if *shards >= 1 && (*progress || *teleOut != "") {
+	if *progress || *teleOut != "" {
 		// Introspection hooks: a wall-clock sampler always (the manifest's
 		// wall split), snapshots every simulated second, and the live line
 		// when asked. None of it perturbs the simulated run.
@@ -172,12 +169,12 @@ func run(args []string, out io.Writer) error {
 	}
 	// res.Config holds the normalized configuration (e.g. shard count
 	// clamped to the node count), so report from it, not the request.
-	engine := "single-threaded kernel"
-	if res.Config.Shards > 0 {
-		engine = fmt.Sprintf("sharded engine, %d shards", res.Config.Shards)
+	shardWord := "shards"
+	if res.Config.Shards == 1 {
+		shardWord = "shard"
 	}
-	fmt.Fprintf(out, "simulated %v of a %d-node system in %v (%d events, %s)\n",
-		res.Duration.Round(time.Second), cfg.Nodes, wall.Round(time.Millisecond), res.Events, engine)
+	fmt.Fprintf(out, "simulated %v of a %d-node system in %v (%d events, %d %s)\n",
+		res.Duration.Round(time.Second), cfg.Nodes, wall.Round(time.Millisecond), res.Events, res.Config.Shards, shardWord)
 	fmt.Fprintf(out, "stream: %d kbps, %d windows of %d+%d packets\n",
 		cfg.Layout.RateBps/1000, cfg.Layout.Windows, cfg.Layout.DataPerWindow, cfg.Layout.ParityPerWindow)
 	fmt.Fprintf(out, "protocol: fanout %d, X=%s, Y=%s, cap %d kbps, membership %s\n",

@@ -18,6 +18,7 @@ func TestFlagValidation(t *testing.T) {
 	}{
 		{"too few nodes", []string{"-nodes", "1"}},
 		{"negative shards", []string{"-shards", "-1"}},
+		{"zero shards", []string{"-shards", "0"}},
 		{"zero fanout", []string{"-fanout", "0"}},
 		{"negative refresh", []string{"-refresh", "-1"}},
 		{"negative feed", []string{"-feed", "-2"}},
@@ -30,7 +31,6 @@ func TestFlagValidation(t *testing.T) {
 		{"poisson bad rate", []string{"-churn", "poisson:0.01,fast"}},
 		{"poisson negative rate", []string{"-churn", "poisson:-0.01,0.01"}},
 		{"poisson joins need cyclon", []string{"-shards", "2", "-churn", "poisson:0.01,0.01"}},
-		{"poisson needs sharded engine", []string{"-membership", "cyclon", "-churn", "poisson:0.01,0.01"}},
 		{"unknown membership", []string{"-membership", "gospel"}},
 		{"unknown flag", []string{"-bogus"}},
 		{"stray argument", []string{"extra"}},
@@ -67,9 +67,9 @@ func smoke(t *testing.T, args ...string) string {
 	return out.String()
 }
 
-func TestSmokeRunClassic(t *testing.T) {
+func TestSmokeRunDefaultShards(t *testing.T) {
 	got := smoke(t, "-nodes", "40", "-windows", "2", "-seed", "3")
-	if !strings.Contains(got, "single-threaded kernel") {
+	if !strings.Contains(got, "events, 1 shard)") {
 		t.Fatalf("missing engine line in output:\n%s", got)
 	}
 	m := completeRe.FindStringSubmatch(got)
@@ -84,7 +84,7 @@ func TestSmokeRunClassic(t *testing.T) {
 
 func TestSmokeRunSharded(t *testing.T) {
 	got := smoke(t, "-nodes", "40", "-windows", "2", "-seed", "3", "-shards", "2")
-	if !strings.Contains(got, "sharded engine, 2 shards") {
+	if !strings.Contains(got, "events, 2 shards)") {
 		t.Fatalf("missing engine line in output:\n%s", got)
 	}
 	m := completeRe.FindStringSubmatch(got)
@@ -163,16 +163,10 @@ func TestStreamingMatchesBatchReport(t *testing.T) {
 	}
 }
 
-func TestStreamingNeedsShards(t *testing.T) {
+func TestStreamingRejectsVerbose(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-streaming"}, &out); err == nil {
-		t.Fatal("-streaming without -shards accepted")
-	}
-	if err := run([]string{"-streaming", "-shards", "2", "-v", "-nodes", "10", "-windows", "1"}, &out); err == nil {
+	if err := run([]string{"-streaming", "-v", "-nodes", "10", "-windows", "1"}, &out); err == nil {
 		t.Fatal("-streaming with -v accepted")
-	}
-	if err := run([]string{"-progress"}, &out); err == nil {
-		t.Fatal("-progress without -shards accepted")
 	}
 }
 

@@ -1,5 +1,5 @@
 // Megascale: run the paper's baseline scenario far beyond its 230-node
-// testbed on the sharded parallel engine (internal/megasim), then print
+// testbed on parallel engine shards (internal/megasim), then print
 // the same quality metrics the paper reports plus engine statistics.
 //
 //	go run ./examples/megascale                      # 10k nodes, one shard per core
@@ -43,6 +43,10 @@ func main() {
 		teleOut   = flag.String("telemetry", "", "write a JSON run manifest to this path (- = stdout)")
 	)
 	flag.Parse()
+	if *shards < 1 {
+		fmt.Fprintf(os.Stderr, "megascale: -shards %d: want >= 1\n", *shards)
+		os.Exit(1)
+	}
 
 	cfg := gossipstream.ScaledExperiment(*nodes, *shards, time.Duration(*secs)*time.Second)
 	cfg.Seed = *seed
@@ -130,17 +134,9 @@ func main() {
 		lost += s.RandomDrops
 		dead += s.DeadDrops
 	}
-	if len(res.Nodes) > 0 {
-		// Classic-kernel runs: aggregate per-node counters plus the source.
-		for _, n := range res.Nodes {
-			account(n.Stats)
-		}
-		account(res.SourceStats)
-	} else {
-		// Sharded runs carry the engine-wide aggregate, which survives
-		// -streaming's per-node state release.
-		account(res.TotalTraffic)
-	}
+	// The engine-wide aggregate survives -streaming's per-node state
+	// release and slot recycling under churn.
+	account(res.TotalTraffic)
 	inFlight := sent - recv - lost - dead
 	fmt.Printf("messages: %d sent, %d delivered, %d congestion-dropped,\n", sent, recv, congestion)
 	fmt.Printf("          %d lost (UDP), %d to/from crashed nodes, %d in flight at deadline\n",

@@ -10,7 +10,7 @@
 // deterministic, seeded schedule of join/leave events. The catastrophic
 // bursts above fold into the same timeline as a degenerate case, so one
 // executor drives both shapes. Joins require an executor that can admit
-// nodes at runtime (the sharded engine's barrier admission) and a
+// nodes at runtime (the engine's barrier admission) and a
 // membership substrate that can learn them (partial views, internal/pss).
 package churn
 

@@ -1,35 +1,31 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
 	"gossipstream/internal/member"
-	"gossipstream/internal/sim"
 	"gossipstream/internal/stream"
 	"gossipstream/internal/wire"
 )
 
 // harness bundles one hand-driven peer with its bus for edge-case tests.
 type harness struct {
-	sched *sim.Scheduler
-	bus   *bus
-	peer  *Peer
+	bus  *bus
+	peer *Peer
 }
 
 func newHarness(t *testing.T, cfg Config, layout stream.Layout) *harness {
 	t.Helper()
-	sched := sim.New(21)
-	b := newBus(sched, time.Millisecond)
-	env := &busEnv{id: 9, bus: b, rng: rand.New(rand.NewSource(9))}
-	p, err := NewPeer(env, cfg, member.NewFullView(9, 64, env.rng), layout)
+	b := newBus(t, 64, time.Millisecond, 21)
+	env := b.env(9, 9)
+	p, err := NewPeer(env, cfg, member.NewSparseView(9, 64, env.Rand()), layout)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b.peers[9] = p
 	p.Start()
-	return &harness{sched: sched, bus: b, peer: p}
+	return &harness{bus: b, peer: p}
 }
 
 func (h *harness) requestsSentTo() map[wire.NodeID][]stream.PacketID {
@@ -90,7 +86,7 @@ func TestRetryTargetsSameProposerByDefault(t *testing.T) {
 	h.peer.HandleMessage(3, wire.Propose{IDs: []stream.PacketID{0, 1}})
 	h.peer.HandleMessage(4, wire.Propose{IDs: []stream.PacketID{0, 1}})
 	// Never serve: let all retries fire.
-	h.sched.RunUntil(time.Minute)
+	h.bus.run(t, time.Minute)
 	reqs := h.requestsSentTo()
 	if len(reqs[4]) != 0 {
 		t.Fatalf("strict policy re-requested from a later proposer: %v", reqs[4])
@@ -109,7 +105,7 @@ func TestRetryRandomUsesRecordedProposers(t *testing.T) {
 	h.peer.HandleMessage(3, wire.Propose{IDs: []stream.PacketID{0}})
 	h.peer.HandleMessage(4, wire.Propose{IDs: []stream.PacketID{0}})
 	h.peer.HandleMessage(5, wire.Propose{IDs: []stream.PacketID{0}})
-	h.sched.RunUntil(2 * time.Minute)
+	h.bus.run(t, 2*time.Minute)
 	reqs := h.requestsSentTo()
 	targets := 0
 	for _, to := range []wire.NodeID{3, 4, 5} {
@@ -148,7 +144,7 @@ func TestRetryStopsOnceDelivered(t *testing.T) {
 	// Serve arrives before the ret timer fires.
 	pkt := &stream.Packet{ID: 0, Payload: make([]byte, layout.PayloadBytes)}
 	h.peer.HandleMessage(3, wire.Serve{Packets: []*stream.Packet{pkt}})
-	h.sched.RunUntil(time.Minute)
+	h.bus.run(t, time.Minute)
 	if got := h.peer.Counters().Retransmissions; got != 0 {
 		t.Fatalf("%d retransmissions although the packet was served in time", got)
 	}
@@ -163,7 +159,7 @@ func TestNoRetryTimersWhenKIsOne(t *testing.T) {
 	if len(h.peer.retCancels) != 0 {
 		t.Fatal("ret timer armed although K=1 forbids retries")
 	}
-	h.sched.RunUntil(time.Minute)
+	h.bus.run(t, time.Minute)
 	if h.peer.Counters().Retransmissions != 0 {
 		t.Fatal("retransmissions occurred with K=1")
 	}
@@ -175,11 +171,11 @@ func TestRetryJitterWithinBounds(t *testing.T) {
 	cfg := testConfig()
 	cfg.RetPeriod = time.Second
 	h := newHarness(t, cfg, tinyLayout())
-	proposeAt := h.sched.Now()
+	proposeAt := h.bus.eng.Now()
 	h.peer.HandleMessage(3, wire.Propose{IDs: []stream.PacketID{0}})
 	var retryAt time.Duration
 	found := false
-	h.sched.RunUntil(10 * time.Second)
+	h.bus.run(t, 10*time.Second)
 	for _, e := range h.bus.log[1:] { // skip the initial request
 		if _, ok := e.msg.(wire.Request); ok && e.from == 9 {
 			retryAt = e.at
@@ -202,14 +198,13 @@ func TestFeedMeChangesReceiverView(t *testing.T) {
 	layout := tinyLayout()
 	cfg := testConfig()
 	cfg.RefreshEvery = member.Never
-	sched := sim.New(30)
-	b := newBus(sched, time.Millisecond)
-	env := &busEnv{id: 0, bus: b, rng: rand.New(rand.NewSource(30))}
+	b := newBus(t, 64, time.Millisecond, 30)
+	env := b.env(0, 30)
 	src, err := stream.NewSource(layout, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewSourcePeer(env, cfg, member.NewFullView(0, 64, env.rng), src)
+	p, err := NewSourcePeer(env, cfg, member.NewSparseView(0, 64, env.Rand()), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +215,7 @@ func TestFeedMeChangesReceiverView(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		p.HandleMessage(63, wire.FeedMe{})
 	}
-	sched.RunUntil(layout.Duration() + time.Second)
+	b.run(t, layout.Duration()+time.Second)
 	got := false
 	for _, e := range b.log {
 		if _, ok := e.msg.(wire.Propose); ok && e.to == 63 {
@@ -267,20 +262,19 @@ func TestSourceServesFromStreamStore(t *testing.T) {
 	// serves them back (lookup falls through to the stream.Source).
 	layout := tinyLayout()
 	cfg := testConfig()
-	sched := sim.New(31)
-	b := newBus(sched, time.Millisecond)
-	env := &busEnv{id: 0, bus: b, rng: rand.New(rand.NewSource(31))}
+	b := newBus(t, 64, time.Millisecond, 31)
+	env := b.env(0, 31)
 	src, err := stream.NewSource(layout, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewSourcePeer(env, cfg, member.NewFullView(0, 8, env.rng), src)
+	p, err := NewSourcePeer(env, cfg, member.NewSparseView(0, 8, env.Rand()), src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b.peers[0] = p
 	p.Start()
-	sched.RunUntil(layout.Duration()) // source publishes everything
+	b.run(t, layout.Duration()) // source publishes everything
 	before := len(b.log)
 	p.HandleMessage(3, wire.Request{IDs: []stream.PacketID{0, 1}})
 	served := 0
@@ -301,7 +295,7 @@ func TestGossipRoundsRespectPeriod(t *testing.T) {
 	c := newCluster(t, 4, cfg, layout)
 	c.startAll()
 	horizon := 2 * time.Second
-	c.sched.RunUntil(horizon)
+	c.bus.run(t, horizon)
 	for i, p := range c.peers {
 		maxRounds := int(horizon/cfg.GossipPeriod) + 1
 		if got := p.Counters().Rounds; got > maxRounds {

@@ -5,19 +5,22 @@ import (
 	"testing"
 	"time"
 
+	"gossipstream/internal/megasim"
 	"gossipstream/internal/member"
-	"gossipstream/internal/sim"
+	"gossipstream/internal/shaping"
 	"gossipstream/internal/stream"
 	"gossipstream/internal/wire"
 )
 
-// bus is a perfect in-memory network for unit-testing protocol logic:
-// every message is delivered after a fixed delay unless a drop hook vetoes
-// it. It also logs all traffic.
+// bus runs protocol peers on a one-shard megasim engine over a perfect
+// network for unit-testing protocol logic: uplinks are unlimited, there
+// is no loss or jitter, and every message is delivered after a fixed delay
+// unless a drop hook vetoes it. It also logs all traffic; a logged SERVE's
+// packet list is only readable until its delivery, after which the engine
+// recycles the backing.
 type bus struct {
-	sched *sim.Scheduler
-	peers map[wire.NodeID]*Peer
-	delay time.Duration
+	eng   *megasim.Engine
+	peers []*Peer // index = NodeID; nil for nodes without a peer
 	drop  func(from, to wire.NodeID, msg wire.Message) bool
 	log   []busEntry
 }
@@ -28,39 +31,60 @@ type busEntry struct {
 	at       time.Duration
 }
 
-func newBus(sched *sim.Scheduler, delay time.Duration) *bus {
-	return &bus{sched: sched, peers: make(map[wire.NodeID]*Peer), delay: delay}
+// newBus registers n nodes (ids 0..n-1) whose deliveries go to the peer
+// later installed at their index.
+func newBus(t *testing.T, n int, delay time.Duration, seed int64) *bus {
+	t.Helper()
+	eng, err := megasim.New(megasim.Config{Net: megasim.NetConfig{BaseLatencyMedian: delay}, Shards: 1, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &bus{eng: eng, peers: make([]*Peer, n)}
+	for i := 0; i < n; i++ {
+		eng.AddNode(busNode{b: b, id: wire.NodeID(i)}, shaping.Unlimited, 0)
+	}
+	return b
 }
 
-func (b *bus) send(from, to wire.NodeID, msg wire.Message) {
-	b.log = append(b.log, busEntry{from: from, to: to, msg: msg, at: b.sched.Now()})
-	if b.drop != nil && b.drop(from, to, msg) {
+// env returns the environment of node id, drawing from a private stream.
+func (b *bus) env(id wire.NodeID, seed int64) *busEnv {
+	return &busEnv{NodeEnv: b.eng.NodeEnv(id, rand.New(rand.NewSource(seed))), bus: b}
+}
+
+// run executes the engine up to and including until; an engine runs once.
+func (b *bus) run(t *testing.T, until time.Duration) {
+	t.Helper()
+	if err := b.eng.Run(until); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// busNode forwards deliveries to its node's peer, if one is installed.
+type busNode struct {
+	b  *bus
+	id wire.NodeID
+}
+
+func (n busNode) HandleMessage(from wire.NodeID, msg wire.Message) {
+	if p := n.b.peers[n.id]; p != nil {
+		p.HandleMessage(from, msg)
+	}
+}
+
+// busEnv implements Env for one node on a bus: the engine's environment
+// with sends logged and filtered through the drop hook.
+type busEnv struct {
+	*megasim.NodeEnv
+	bus *bus
+}
+
+func (e *busEnv) Send(to wire.NodeID, msg wire.Message) {
+	e.bus.log = append(e.bus.log, busEntry{from: e.ID(), to: to, msg: msg, at: e.Now()})
+	if e.bus.drop != nil && e.bus.drop(e.ID(), to, msg) {
 		return
 	}
-	b.sched.After(b.delay, func() {
-		if p, ok := b.peers[to]; ok {
-			p.HandleMessage(from, msg)
-		}
-	})
+	e.NodeEnv.Send(to, msg)
 }
-
-// busEnv implements Env for one node on a bus.
-type busEnv struct {
-	id  wire.NodeID
-	bus *bus
-	rng *rand.Rand
-}
-
-func (e *busEnv) ID() wire.NodeID    { return e.id }
-func (e *busEnv) Now() time.Duration { return e.bus.sched.Now() }
-func (e *busEnv) Send(to wire.NodeID, msg wire.Message) {
-	e.bus.send(e.id, to, msg)
-}
-func (e *busEnv) After(d time.Duration, fn func()) func() {
-	ev := e.bus.sched.After(d, fn)
-	return func() { e.bus.sched.Cancel(ev) }
-}
-func (e *busEnv) Rand() *rand.Rand { return e.rng }
 
 // tinyLayout: 3 windows of 4+2 packets, 10 ms per data packet.
 func tinyLayout() stream.Layout {
@@ -75,20 +99,18 @@ func tinyLayout() stream.Layout {
 
 // cluster builds a source plus n-1 peers on a fresh bus.
 type cluster struct {
-	sched *sim.Scheduler
 	bus   *bus
 	peers []*Peer // index = NodeID; peers[0] is the source
 }
 
 func newCluster(t *testing.T, n int, cfg Config, layout stream.Layout) *cluster {
 	t.Helper()
-	sched := sim.New(11)
-	b := newBus(sched, 5*time.Millisecond)
-	c := &cluster{sched: sched, bus: b}
+	b := newBus(t, n, 5*time.Millisecond, 11)
+	c := &cluster{bus: b}
 	for i := 0; i < n; i++ {
 		id := wire.NodeID(i)
-		env := &busEnv{id: id, bus: b, rng: rand.New(rand.NewSource(int64(100 + i)))}
-		sampler := member.NewFullView(id, n, env.rng)
+		env := b.env(id, int64(100+i))
+		sampler := member.NewSparseView(id, n, env.Rand())
 		var p *Peer
 		var err error
 		if i == 0 {
@@ -153,10 +175,9 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestNewPeerRejectsBadInput(t *testing.T) {
-	sched := sim.New(1)
-	b := newBus(sched, 0)
-	env := &busEnv{id: 0, bus: b, rng: rand.New(rand.NewSource(1))}
-	sampler := member.NewFullView(0, 4, env.rng)
+	b := newBus(t, 10, 0, 1)
+	env := b.env(0, 1)
+	sampler := member.NewSparseView(0, 4, env.Rand())
 	bad := DefaultConfig()
 	bad.Fanout = -1
 	if _, err := NewPeer(env, bad, sampler, tinyLayout()); err == nil {
@@ -174,7 +195,7 @@ func TestFullDisseminationOnPerfectNetwork(t *testing.T) {
 	layout := tinyLayout()
 	c := newCluster(t, 8, testConfig(), layout)
 	c.startAll()
-	c.sched.RunUntil(layout.Duration() + 3*time.Second)
+	c.bus.run(t, layout.Duration()+3*time.Second)
 
 	for i, p := range c.peers {
 		if got := p.Receiver().Delivered(); got != layout.TotalPackets() {
@@ -196,7 +217,7 @@ func TestInfectAndDie(t *testing.T) {
 	cfg := testConfig()
 	c := newCluster(t, 6, cfg, layout)
 	c.startAll()
-	c.sched.RunUntil(layout.Duration() + 3*time.Second)
+	c.bus.run(t, layout.Duration()+3*time.Second)
 
 	type key struct {
 		sender wire.NodeID
@@ -226,10 +247,9 @@ func TestInfectAndDie(t *testing.T) {
 func TestDuplicateRequestSuppression(t *testing.T) {
 	// Drive a peer by hand: two PROPOSEs for the same id from different
 	// senders must yield exactly one REQUEST (to the first proposer).
-	sched := sim.New(3)
-	b := newBus(sched, time.Millisecond)
-	env := &busEnv{id: 5, bus: b, rng: rand.New(rand.NewSource(5))}
-	p, err := NewPeer(env, testConfig(), member.NewFullView(5, 10, env.rng), tinyLayout())
+	b := newBus(t, 10, time.Millisecond, 3)
+	env := b.env(5, 5)
+	p, err := NewPeer(env, testConfig(), member.NewSparseView(5, 10, env.Rand()), tinyLayout())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,11 +276,10 @@ func TestDuplicateRequestSuppression(t *testing.T) {
 }
 
 func TestAlreadyDeliveredNotRequested(t *testing.T) {
-	sched := sim.New(4)
-	b := newBus(sched, time.Millisecond)
-	env := &busEnv{id: 5, bus: b, rng: rand.New(rand.NewSource(5))}
+	b := newBus(t, 10, time.Millisecond, 4)
+	env := b.env(5, 5)
 	layout := tinyLayout()
-	p, err := NewPeer(env, testConfig(), member.NewFullView(5, 10, env.rng), layout)
+	p, err := NewPeer(env, testConfig(), member.NewSparseView(5, 10, env.Rand()), layout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,11 +296,10 @@ func TestAlreadyDeliveredNotRequested(t *testing.T) {
 }
 
 func TestServeOnlyHeldPackets(t *testing.T) {
-	sched := sim.New(5)
-	b := newBus(sched, time.Millisecond)
-	env := &busEnv{id: 5, bus: b, rng: rand.New(rand.NewSource(5))}
+	b := newBus(t, 10, time.Millisecond, 5)
+	env := b.env(5, 5)
 	layout := tinyLayout()
-	p, err := NewPeer(env, testConfig(), member.NewFullView(5, 10, env.rng), layout)
+	p, err := NewPeer(env, testConfig(), member.NewSparseView(5, 10, env.Rand()), layout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,10 +324,9 @@ func TestServeOnlyHeldPackets(t *testing.T) {
 }
 
 func TestRequestForUnknownPacketSilent(t *testing.T) {
-	sched := sim.New(6)
-	b := newBus(sched, time.Millisecond)
-	env := &busEnv{id: 5, bus: b, rng: rand.New(rand.NewSource(5))}
-	p, err := NewPeer(env, testConfig(), member.NewFullView(5, 10, env.rng), tinyLayout())
+	b := newBus(t, 10, time.Millisecond, 6)
+	env := b.env(5, 5)
+	p, err := NewPeer(env, testConfig(), member.NewSparseView(5, 10, env.Rand()), tinyLayout())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +341,9 @@ func TestRequestForUnknownPacketSilent(t *testing.T) {
 
 func TestRetransmissionRecoversLostServe(t *testing.T) {
 	// Drop the first SERVE between any pair; the requester's ret timer
-	// must re-request and eventually deliver.
+	// must re-request and eventually deliver every id proposed to it.
+	// (Whether infect-and-die proposes every id to every node of a
+	// 5-node system is up to the partner draws, not retransmission.)
 	layout := tinyLayout()
 	cfg := testConfig()
 	c := newCluster(t, 5, cfg, layout)
@@ -341,13 +360,19 @@ func TestRetransmissionRecoversLostServe(t *testing.T) {
 		return false
 	}
 	c.startAll()
-	c.sched.RunUntil(layout.Duration() + 5*time.Second)
+	c.bus.run(t, layout.Duration()+5*time.Second)
 
 	retransmissions := 0
-	for i, p := range c.peers {
-		if got := p.Receiver().Delivered(); got != layout.TotalPackets() {
-			t.Fatalf("peer %d delivered %d/%d despite retransmission", i, got, layout.TotalPackets())
+	for _, e := range c.bus.log {
+		if prop, ok := e.msg.(wire.Propose); ok {
+			for _, id := range prop.IDs {
+				if !c.peers[e.to].Receiver().Has(id) {
+					t.Fatalf("peer %d never delivered proposed id %d despite retransmission", e.to, id)
+				}
+			}
 		}
+	}
+	for _, p := range c.peers {
 		retransmissions += p.Counters().Retransmissions
 	}
 	if retransmissions == 0 {
@@ -367,7 +392,7 @@ func TestRetransmissionRespectsKCap(t *testing.T) {
 		return isServe
 	}
 	c.startAll()
-	c.sched.RunUntil(layout.Duration() + 5*time.Second)
+	c.bus.run(t, layout.Duration()+5*time.Second)
 
 	perNodeID := make(map[wire.NodeID]map[stream.PacketID]int)
 	for _, e := range c.bus.log {
@@ -405,7 +430,7 @@ func TestFeedMeCadenceAndEffect(t *testing.T) {
 	cfg.RefreshEvery = member.Never
 	c := newCluster(t, 6, cfg, layout)
 	c.startAll()
-	c.sched.RunUntil(layout.Duration() + 2*time.Second)
+	c.bus.run(t, layout.Duration()+2*time.Second)
 
 	feeds := 0
 	for _, e := range c.bus.log {
@@ -428,7 +453,7 @@ func TestFeedMeDisabledByDefault(t *testing.T) {
 	layout := tinyLayout()
 	c := newCluster(t, 5, testConfig(), layout)
 	c.startAll()
-	c.sched.RunUntil(layout.Duration() + time.Second)
+	c.bus.run(t, layout.Duration()+time.Second)
 	for _, e := range c.bus.log {
 		if _, ok := e.msg.(wire.FeedMe); ok {
 			t.Fatal("FEED-ME sent although FeedEvery = Never")
@@ -437,14 +462,13 @@ func TestFeedMeDisabledByDefault(t *testing.T) {
 }
 
 func TestSourceIgnoresProposes(t *testing.T) {
-	sched := sim.New(8)
-	b := newBus(sched, time.Millisecond)
-	env := &busEnv{id: 0, bus: b, rng: rand.New(rand.NewSource(1))}
+	b := newBus(t, 10, time.Millisecond, 8)
+	env := b.env(0, 1)
 	src, err := stream.NewSource(tinyLayout(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewSourcePeer(env, testConfig(), member.NewFullView(0, 5, env.rng), src)
+	p, err := NewSourcePeer(env, testConfig(), member.NewSparseView(0, 5, env.Rand()), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,17 +485,16 @@ func TestSourceIgnoresProposes(t *testing.T) {
 }
 
 func TestStoppedPeerInert(t *testing.T) {
-	sched := sim.New(9)
-	b := newBus(sched, time.Millisecond)
-	env := &busEnv{id: 5, bus: b, rng: rand.New(rand.NewSource(5))}
-	p, err := NewPeer(env, testConfig(), member.NewFullView(5, 10, env.rng), tinyLayout())
+	b := newBus(t, 10, time.Millisecond, 9)
+	env := b.env(5, 5)
+	p, err := NewPeer(env, testConfig(), member.NewSparseView(5, 10, env.Rand()), tinyLayout())
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Start()
 	p.Stop()
 	p.HandleMessage(1, wire.Propose{IDs: []stream.PacketID{0}})
-	sched.Run()
+	b.run(t, 10*time.Second)
 	if len(b.log) != 0 {
 		t.Fatalf("stopped peer produced %d messages", len(b.log))
 	}
@@ -481,10 +504,9 @@ func TestStoppedPeerInert(t *testing.T) {
 }
 
 func TestStopIsIdempotentAndRestartable(t *testing.T) {
-	sched := sim.New(10)
-	b := newBus(sched, time.Millisecond)
-	env := &busEnv{id: 1, bus: b, rng: rand.New(rand.NewSource(5))}
-	p, err := NewPeer(env, testConfig(), member.NewFullView(1, 4, env.rng), tinyLayout())
+	b := newBus(t, 10, time.Millisecond, 10)
+	env := b.env(1, 5)
+	p, err := NewPeer(env, testConfig(), member.NewSparseView(1, 4, env.Rand()), tinyLayout())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,18 +515,17 @@ func TestStopIsIdempotentAndRestartable(t *testing.T) {
 	p.Stop()
 	p.Stop()
 	p.Start()
-	sched.RunUntil(500 * time.Millisecond)
+	b.run(t, 500*time.Millisecond)
 	if p.Counters().Rounds == 0 {
 		t.Fatal("restarted peer never ticked")
 	}
 }
 
 func TestDuplicateServeCounted(t *testing.T) {
-	sched := sim.New(12)
-	b := newBus(sched, time.Millisecond)
-	env := &busEnv{id: 5, bus: b, rng: rand.New(rand.NewSource(5))}
+	b := newBus(t, 10, time.Millisecond, 12)
+	env := b.env(5, 5)
 	layout := tinyLayout()
-	p, err := NewPeer(env, testConfig(), member.NewFullView(5, 10, env.rng), layout)
+	p, err := NewPeer(env, testConfig(), member.NewSparseView(5, 10, env.Rand()), layout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,10 +543,9 @@ func TestDuplicateServeCounted(t *testing.T) {
 }
 
 func TestOutOfStreamIDsIgnored(t *testing.T) {
-	sched := sim.New(13)
-	b := newBus(sched, time.Millisecond)
-	env := &busEnv{id: 5, bus: b, rng: rand.New(rand.NewSource(5))}
-	p, err := NewPeer(env, testConfig(), member.NewFullView(5, 10, env.rng), tinyLayout())
+	b := newBus(t, 10, time.Millisecond, 13)
+	env := b.env(5, 5)
+	p, err := NewPeer(env, testConfig(), member.NewSparseView(5, 10, env.Rand()), tinyLayout())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +567,7 @@ func TestRefreshNeverKeepsPartners(t *testing.T) {
 	cfg.RefreshEvery = member.Never
 	c := newCluster(t, 10, cfg, layout)
 	c.startAll()
-	c.sched.RunUntil(layout.Duration() + 2*time.Second)
+	c.bus.run(t, layout.Duration()+2*time.Second)
 
 	targets := make(map[wire.NodeID]map[wire.NodeID]bool)
 	for _, e := range c.bus.log {
@@ -570,7 +590,7 @@ func TestCountersProgress(t *testing.T) {
 	layout := tinyLayout()
 	c := newCluster(t, 6, testConfig(), layout)
 	c.startAll()
-	c.sched.RunUntil(layout.Duration() + 2*time.Second)
+	c.bus.run(t, layout.Duration()+2*time.Second)
 	src := c.peers[0].Counters()
 	if src.Rounds == 0 || src.ProposesSent == 0 || src.PacketsServed == 0 {
 		t.Fatalf("source counters did not progress: %+v", src)

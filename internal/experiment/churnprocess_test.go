@@ -35,13 +35,16 @@ func sustainedCfg(seed int64, joinPerSec, leavePerSec float64) Config {
 func TestChurnProcessValidation(t *testing.T) {
 	proc := churn.SustainedPoisson(1, 1)
 
-	// The classic engine cannot admit nodes at runtime.
+	// Runtime admission works at the default shard count.
 	cfg := smallCfg(1)
 	cfg.Membership = MembershipCyclon
 	cfg.ChurnProcess = &proc
-	_, err := Run(cfg)
-	if err == nil || !strings.Contains(err.Error(), "sharded engine") {
-		t.Fatalf("classic engine accepted a churn process (err = %v)", err)
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("churn process at the default shard count: %v", err)
+	}
+	if res.JoinedCount() == 0 {
+		t.Fatal("no node admitted at runtime")
 	}
 
 	// Static full views cannot learn joined nodes.
@@ -72,12 +75,12 @@ func TestChurnProcessValidation(t *testing.T) {
 		t.Fatal("NaN join rate accepted")
 	}
 
-	// A zero process is inert: it must not trip the engine requirement.
+	// A zero process is inert: it needs no membership support.
 	cfg = smallCfg(1)
 	zero := churn.Process{}
 	cfg.ChurnProcess = &zero
 	if _, err := Run(cfg); err != nil {
-		t.Fatalf("zero process on the classic engine failed: %v", err)
+		t.Fatalf("zero process over full view failed: %v", err)
 	}
 }
 

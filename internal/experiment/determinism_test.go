@@ -12,6 +12,7 @@ import (
 	"gossipstream/internal/churn"
 	"gossipstream/internal/megasim"
 	"gossipstream/internal/metrics"
+	"gossipstream/internal/telemetry"
 )
 
 // smallCfg is a quick deployment that still exercises shaping, loss,
@@ -47,9 +48,9 @@ func qualityHash(t *testing.T, res *Result) [32]byte {
 }
 
 // TestRunDeterministicReplayDeep upgrades the replay check to the whole
-// Result — counters, stats, uploads, event counts — for the classic
-// engine, including a retransmission-heavy churn scenario (the path that
-// once depended on map iteration order).
+// Result — counters, stats, uploads, event counts — for the default
+// one-shard engine, including a retransmission-heavy churn scenario (the
+// path that once depended on map iteration order).
 func TestRunDeterministicReplayDeep(t *testing.T) {
 	cfg := smallCfg(11)
 	cfg.Churn = append(cfg.Churn, ChurnAt(cfg.Layout.Duration()/2, 0.3)...)
@@ -62,16 +63,16 @@ func TestRunDeterministicReplayDeep(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Fatal("classic engine: identical seeds produced different Results")
+		t.Fatal("identical seeds produced different Results")
 	}
 	if qualityHash(t, a) != qualityHash(t, b) {
-		t.Fatal("classic engine: quality metrics not byte-identical")
+		t.Fatal("quality metrics not byte-identical")
 	}
 }
 
-// TestRunShardedDeterministicReplay is the sharded-engine analogue: a
-// fixed (Seed, Shards) pair must reproduce the identical Result across
-// repeated runs regardless of goroutine interleaving.
+// TestRunShardedDeterministicReplay pins explicit shard counts: a fixed
+// (Seed, Shards) pair must reproduce the identical Result across repeated
+// runs regardless of goroutine interleaving.
 func TestRunShardedDeterministicReplay(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -87,13 +88,13 @@ func TestRunShardedDeterministicReplay(t *testing.T) {
 				t.Fatal(err)
 			}
 			if a.Events == 0 {
-				t.Fatal("sharded run executed no events")
+				t.Fatal("run executed no events")
 			}
 			if !reflect.DeepEqual(a, b) {
-				t.Fatal("sharded engine: identical (seed, shards) produced different Results")
+				t.Fatal("identical (seed, shards) produced different Results")
 			}
 			if qualityHash(t, a) != qualityHash(t, b) {
-				t.Fatal("sharded engine: quality metrics not byte-identical")
+				t.Fatal("quality metrics not byte-identical")
 			}
 		})
 	}
@@ -101,10 +102,11 @@ func TestRunShardedDeterministicReplay(t *testing.T) {
 
 // TestRunManyInterleavingIndependence checks that results computed under
 // RunMany's worker-pool parallelism are identical to serial Run calls —
-// goroutine scheduling must not leak into any Result, classic or sharded.
+// goroutine scheduling must not leak into any Result, on one shard or
+// several.
 func TestRunManyInterleavingIndependence(t *testing.T) {
 	cfgs := []Config{smallCfg(1), smallCfg(2), smallCfg(1), smallCfg(3)}
-	cfgs[2].Shards = 2 // one sharded run inside the parallel batch
+	cfgs[2].Shards = 2 // one parallel-engine run inside the parallel batch
 	batch, err := RunMany(cfgs)
 	if err != nil {
 		t.Fatal(err)
@@ -126,32 +128,87 @@ func TestShardsValidation(t *testing.T) {
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("negative Shards accepted")
 	}
-	// An unsupported membership substrate on the sharded path must fail
-	// with an error naming the engine, not silently fall back to
-	// full-view sampling.
+	// The zero value resolves to one shard, recorded in Result.Config:
+	// the run is exactly the explicit one-shard run.
+	cfg = smallCfg(1)
+	def, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def.Config.Shards != 1 {
+		t.Fatalf("Shards = 0 ran with %d shards, want 1", def.Config.Shards)
+	}
+	cfg.Shards = 1
+	one, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(def, one) {
+		t.Fatal("Shards = 0 and Shards = 1 produced different Results")
+	}
+	// An unsupported membership must fail with an error naming the
+	// supported ones, not silently fall back to full-view sampling.
 	cfg = smallCfg(1)
 	cfg.Shards = 2
 	cfg.Membership = Membership(99)
-	_, err := Run(cfg)
+	_, err = Run(cfg)
 	if err == nil {
-		t.Fatal("unknown membership accepted on the sharded engine")
+		t.Fatal("unknown membership accepted")
 	}
-	if !strings.Contains(err.Error(), "sharded engine") {
-		t.Fatalf("error %q does not name the sharded engine", err)
+	if !strings.Contains(err.Error(), "MembershipCyclon") {
+		t.Fatalf("error %q does not name the supported memberships", err)
 	}
-	// Cyclon on the sharded engine is supported since the membership port;
-	// its config is still validated.
+	// Cyclon's config is validated.
 	cfg = smallCfg(1)
 	cfg.Shards = 2
 	cfg.Membership = MembershipCyclon
 	cfg.PSS.ViewSize = -3
 	if _, err := Run(cfg); err == nil {
-		t.Fatal("invalid PSS config accepted on the sharded engine")
+		t.Fatal("invalid PSS config accepted")
+	}
+}
+
+// TestOneShardSnapshotsOnSchedule: a one-shard run takes one progress
+// snapshot per simulated second, and its Result is otherwise exactly the
+// run without telemetry.
+func TestOneShardSnapshotsOnSchedule(t *testing.T) {
+	cfg := smallCfg(4)
+	cfg.Churn = ChurnAt(cfg.Layout.Duration()/2, 0.2)
+	plain, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen int
+	var ticks int64
+	cfg.Telemetry = &TelemetryOptions{
+		SnapshotEvery: time.Second,
+		Clock:         func() int64 { ticks++; return ticks },
+		OnSnapshot:    func(telemetry.Snapshot) { seen++ },
+	}
+	obs, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int(obs.Duration / time.Second)
+	if len(obs.Snapshots) != want || seen != want {
+		t.Fatalf("got %d snapshots (%d observed) over %v, want %d", len(obs.Snapshots), seen, obs.Duration, want)
+	}
+	for i, s := range obs.Snapshots {
+		if s.AtSeconds != float64(i+1) {
+			t.Fatalf("snapshot %d at %vs, want %ds", i, s.AtSeconds, i+1)
+		}
+	}
+	if obs.Wall.RunNS <= 0 {
+		t.Fatalf("wall profile not sampled: %+v", obs.Wall)
+	}
+	obs.Snapshots, obs.Wall, obs.Config.Telemetry = nil, telemetry.WallProfile{}, nil
+	if !reflect.DeepEqual(plain, obs) {
+		t.Fatal("telemetry changed the one-shard Result")
 	}
 }
 
 // TestShardedBaselineDisseminates mirrors TestRunDisseminatesStream on
-// the sharded engine: the baseline scenario must deliver the stream to
+// four parallel shards: the baseline scenario must deliver the stream to
 // essentially everyone.
 func TestShardedBaselineDisseminates(t *testing.T) {
 	cfg := smallCfg(5)
@@ -168,7 +225,7 @@ func TestShardedBaselineDisseminates(t *testing.T) {
 }
 
 // TestShardedCatastropheAndHeterogeneous runs the two remaining paper
-// scenarios on the sharded engine: a catastrophic burst kills the right
+// scenarios on parallel shards: a catastrophic burst kills the right
 // fraction, and a heterogeneous cap mix produces unequal uploads.
 func TestShardedCatastropheAndHeterogeneous(t *testing.T) {
 	cfg := smallCfg(7)

@@ -3,8 +3,8 @@ package experiment
 import (
 	"time"
 
+	"gossipstream/internal/megasim"
 	"gossipstream/internal/metrics"
-	"gossipstream/internal/simnet"
 	"gossipstream/internal/telemetry"
 )
 
@@ -26,19 +26,18 @@ type Manifest struct {
 	Nodes   ManifestNodes   `json:"nodes"`
 	Quality ManifestQuality `json:"quality"`
 
-	// Traffic aggregates every node's network counters (sharded runs
-	// only; zero on the classic kernel).
-	Traffic simnet.Stats `json:"traffic"`
+	// Traffic aggregates every node's network counters.
+	Traffic megasim.Stats `json:"traffic"`
 	// UploadKbps digests the distribution of per-node mean upload rates.
 	UploadKbps telemetry.HistSummary `json:"upload_kbps"`
 	// ViewInDegree digests the final overlay's in-degree distribution
-	// (zero Count except on sharded Cyclon runs).
+	// (zero Count except on Cyclon runs).
 	ViewInDegree telemetry.HistSummary `json:"view_indegree"`
 
 	// Wall is the supervisor wall-time split; zero without a telemetry
 	// clock. The one nondeterministic field.
 	Wall telemetry.WallProfile `json:"wall"`
-	// ShardLoads is the per-shard load table (sharded runs only).
+	// ShardLoads is the per-shard load table.
 	ShardLoads []telemetry.ShardLoad `json:"shard_loads,omitempty"`
 	// Snapshots are the periodic progress snapshots, if taken.
 	Snapshots []telemetry.Snapshot `json:"snapshots,omitempty"`

@@ -1,12 +1,12 @@
-// Package experiment wires the substrates into complete simulated
-// deployments of the paper's streaming system and regenerates every table
-// and figure of the evaluation (§4).
+// Package experiment wires the protocol, network and membership layers
+// into complete simulated deployments of the paper's streaming system and
+// regenerates every table and figure of the evaluation (§4).
 //
-// A Run builds one "testbed": a simulated network (internal/simnet) with a
-// source node publishing the stream and n-1 peers gossiping it
-// (internal/core), optional churn (internal/churn), and metric collection
-// (internal/metrics). Figures are parameter sweeps over Runs executed in
-// parallel.
+// A Run builds one "testbed": a simulated network on the megasim engine
+// (internal/megasim) with a source node publishing the stream and n-1
+// peers gossiping it (internal/core), optional churn (internal/churn), and
+// metric collection (internal/metrics). Figures are parameter sweeps over
+// Runs executed in parallel.
 package experiment
 
 import (
@@ -21,16 +21,12 @@ import (
 	"gossipstream/internal/churn"
 	"gossipstream/internal/core"
 	"gossipstream/internal/megasim"
-	"gossipstream/internal/member"
 	"gossipstream/internal/metrics"
 	"gossipstream/internal/pss"
 	"gossipstream/internal/shaping"
-	"gossipstream/internal/sim"
-	"gossipstream/internal/simnet"
 	"gossipstream/internal/stream"
 	"gossipstream/internal/telemetry"
 	"gossipstream/internal/wire"
-	"gossipstream/internal/xrand"
 )
 
 // Membership selects the partner-sampling substrate.
@@ -72,15 +68,14 @@ type Config struct {
 	// QueueBytes bounds each uplink queue (the throttling buffer).
 	QueueBytes int64
 	// Net controls latency heterogeneity and ambient loss.
-	Net simnet.Config
+	Net megasim.NetConfig
 	// Churn lists failure bursts; victims are non-source nodes.
 	Churn []churn.Event
 	// ChurnProcess, when non-nil and non-zero, runs sustained churn: a
 	// deterministic Poisson timeline of joins and leaves over the stream's
 	// duration (see churn.Process). Joining nodes are admitted at engine
 	// barriers with a Cyclon view bootstrapped from live descriptors;
-	// leaving nodes crash. Requires the sharded engine (Shards >= 1) —
-	// runtime admission is a megasim capability — and, when JoinPerSec > 0,
+	// leaving nodes crash. When JoinPerSec > 0 it requires
 	// MembershipCyclon: a static full-view sampler can never learn nodes
 	// that did not exist at setup.
 	ChurnProcess *churn.Process
@@ -101,18 +96,17 @@ type Config struct {
 	// PSS parameterizes the Cyclon substrate when MembershipCyclon is
 	// selected; the zero value uses pss.DefaultConfig.
 	PSS pss.Config
-	// Shards selects the simulation engine. 0 (the default) runs the
-	// single-threaded kernel (internal/sim + internal/simnet), preserving
-	// the exact event orders of the paper-reproduction figures. Any value
-	// >= 1 runs the sharded engine (internal/megasim) with that many
-	// parallel shards — the scale path for 10k–100k+ node deployments.
-	// Results are deterministic for a fixed (Seed, Shards) pair but not
-	// bit-identical across engines or shard counts.
+	// Shards is the number of parallel partitions of the engine
+	// (internal/megasim). The zero value resolves to 1, which Result.Config
+	// records. One shard runs the paper-scale figures; more spread event
+	// execution across cores for 10k–100k+ node deployments. Results are
+	// deterministic for a fixed (Seed, Shards) pair but not bit-identical
+	// across shard counts.
 	Shards int
-	// Queue selects the sharded engine's per-shard scheduler: the 4-ary
-	// heap (the zero value) or the calendar queue. Both maintain the same
-	// strict (at, seq) event order, so the choice never changes a run's
-	// Result — only its wall time. Requires the sharded engine.
+	// Queue selects the engine's per-shard scheduler: the 4-ary heap (the
+	// zero value) or the calendar queue. Both maintain the same strict
+	// (at, seq) event order, so the choice never changes a run's Result —
+	// only its wall time.
 	Queue megasim.QueueKind
 	// StreamingMetrics folds quality scoring incrementally at the engine's
 	// barriers instead of retaining every node's Receiver until run end —
@@ -120,14 +114,13 @@ type Config struct {
 	// protocol state is released at its crash barrier, and run end
 	// materializes no per-node results. Result.Nodes stays empty; score
 	// through Result.Scored*/Survivor* (figure columns are bit-identical
-	// to a batch run of the same seed) and Result.Streaming. Requires the
-	// sharded engine (Shards >= 1).
+	// to a batch run of the same seed) and Result.Streaming.
 	StreamingMetrics bool
 	// Telemetry, when non-nil, enables run introspection (periodic
 	// progress snapshots, supervisor wall-clock profiling). It never
 	// changes the simulated run — snapshots are taken between conservative
 	// windows without adding barriers — and is never serialized with the
-	// config. Requires the sharded engine (Shards >= 1).
+	// config.
 	Telemetry *TelemetryOptions `json:"-"`
 }
 
@@ -158,7 +151,7 @@ func Defaults() Config {
 		UploadCapBps: 700_000,
 		SourceCapBps: shaping.Unlimited,
 		QueueBytes:   128 << 10,
-		Net:          simnet.DefaultConfig(),
+		Net:          megasim.DefaultNetConfig(),
 		Drain:        60 * time.Second,
 	}
 }
@@ -194,19 +187,10 @@ func (c Config) Validate() error {
 		}
 	}
 	if c.Shards < 0 {
-		return fmt.Errorf("experiment: Shards = %d, want >= 0", c.Shards)
+		return fmt.Errorf("experiment: Shards = %d, want >= 0 (0 selects one shard)", c.Shards)
 	}
 	if c.Queue > megasim.QueueCalendar {
 		return fmt.Errorf("experiment: unknown queue kind %d", c.Queue)
-	}
-	if c.Queue != megasim.QueueHeap && c.Shards < 1 {
-		return fmt.Errorf("experiment: Queue = %s requires the sharded engine (Shards >= 1): the scheduler choice is a megasim capability", c.Queue)
-	}
-	if c.StreamingMetrics && c.Shards < 1 {
-		return fmt.Errorf("experiment: StreamingMetrics requires the sharded engine (Shards >= 1): barrier folding is a megasim capability")
-	}
-	if c.Telemetry != nil && c.Shards < 1 {
-		return fmt.Errorf("experiment: Telemetry requires the sharded engine (Shards >= 1): snapshots and wall profiling are supervisor hooks of megasim")
 	}
 	if c.Telemetry != nil && c.Telemetry.SnapshotEvery < 0 {
 		return fmt.Errorf("experiment: Telemetry.SnapshotEvery = %v, want >= 0", c.Telemetry.SnapshotEvery)
@@ -214,9 +198,6 @@ func (c Config) Validate() error {
 	if p := c.ChurnProcess; p != nil && !p.IsZero() {
 		if err := p.Validate(); err != nil {
 			return err
-		}
-		if c.Shards < 1 {
-			return fmt.Errorf("experiment: ChurnProcess requires the sharded engine (Shards >= 1): the single-threaded kernel cannot admit nodes at runtime")
 		}
 		if p.HasJoins() && c.Membership != MembershipCyclon {
 			return fmt.Errorf("experiment: ChurnProcess with joins requires MembershipCyclon: a static full-view sampler cannot learn nodes admitted at runtime")
@@ -228,11 +209,8 @@ func (c Config) Validate() error {
 	if math.IsNaN(c.FreeRiders) || c.FreeRiders < 0 || c.FreeRiders > 1 {
 		return fmt.Errorf("experiment: FreeRiders = %v, want in [0, 1]", c.FreeRiders)
 	}
-	// Both engines support both membership substrates (the sharded engine
-	// gained Cyclon partial views with megasim.AttachSampler). A substrate
-	// neither engine knows must fail loudly here — naming the engine the
-	// configuration selected — rather than silently falling back to
-	// full-view sampling.
+	// An unknown membership must fail loudly here rather than silently
+	// fall back to full-view sampling.
 	switch c.Membership {
 	case 0, MembershipFull:
 	case MembershipCyclon:
@@ -240,11 +218,7 @@ func (c Config) Validate() error {
 			return err
 		}
 	default:
-		engine := "the single-threaded kernel"
-		if c.Shards > 0 {
-			engine = fmt.Sprintf("the sharded engine (Shards = %d)", c.Shards)
-		}
-		return fmt.Errorf("experiment: unknown membership %d: %s supports MembershipFull and MembershipCyclon", c.Membership, engine)
+		return fmt.Errorf("experiment: unknown membership %d: want MembershipFull or MembershipCyclon", c.Membership)
 	}
 	return nil
 }
@@ -262,8 +236,8 @@ func (c Config) BootstrapGrace() time.Duration {
 }
 
 // effectivePSS resolves the Cyclon parameterization a run will use: the
-// zero value selects pss.DefaultConfig. Validate and both engines resolve
-// through this one helper so they can never disagree.
+// zero value selects pss.DefaultConfig. Validate and Run resolve through
+// this one helper so they can never disagree.
 func (c Config) effectivePSS() pss.Config {
 	if c.PSS == (pss.Config{}) {
 		return pss.DefaultConfig()
@@ -271,12 +245,11 @@ func (c Config) effectivePSS() pss.Config {
 	return c.PSS
 }
 
-// NodeResult captures one node's outcome. On the sharded engine a
-// departed node's result is captured at its crash barrier — its receiver
-// and sent counters are final there — so Stats carries the dead drops
-// accrued up to the crash; traffic that dead-drops against the node
-// afterwards still appears in Result.TotalTraffic, which is conserved
-// across slot recycling.
+// NodeResult captures one node's outcome. A departed node's result is
+// captured at its crash barrier — its receiver and sent counters are
+// final there — so Stats carries the dead drops accrued up to the crash;
+// traffic that dead-drops against the node afterwards still appears in
+// Result.TotalTraffic, which is conserved across slot recycling.
 type NodeResult struct {
 	ID       wire.NodeID
 	Survived bool
@@ -302,43 +275,40 @@ type NodeResult struct {
 	// BaseLatencyMS is the node's drawn base latency.
 	BaseLatencyMS float64
 	Counters      core.Counters
-	Stats         simnet.Stats
+	Stats         megasim.Stats
 }
 
 // Result is the outcome of one Run.
 type Result struct {
 	Config   Config
 	Duration time.Duration // simulated time executed
-	// Nodes holds one entry per non-source node ever present. On the
-	// classic kernel entries are in id order (index id-1). On the sharded
-	// engine they are in lifetime-close order — departed nodes first, in
-	// crash order, then survivors in arena-slot order — the same order
-	// streaming scoring folds in, so the two modes' float reductions
-	// agree bit for bit; match entries by ID, not position. Empty under
-	// Config.StreamingMetrics — Streaming carries the folded scoring
-	// state instead.
+	// Nodes holds one entry per non-source node ever present, in
+	// lifetime-close order — departed nodes first, in crash order, then
+	// survivors in arena-slot order — the same order streaming scoring
+	// folds in, so the two modes' float reductions agree bit for bit;
+	// match entries by ID, not position. Empty under
+	// Config.StreamingMetrics — Streaming carries the folded scoring state
+	// instead.
 	Nodes []NodeResult
 	// SourceCounters and SourceStats describe node 0, the stream source
 	// (its quality is trivially perfect and therefore not in Nodes).
 	SourceCounters core.Counters
-	SourceStats    simnet.Stats
+	SourceStats    megasim.Stats
 	// Events is the number of simulator events executed (cost measure).
 	Events uint64
 	// Streaming holds the barrier-folded scoring state of a
 	// StreamingMetrics run; nil otherwise.
 	Streaming *StreamingResult
-	// ShardLoads is the per-shard load table of a sharded run (nil on the
-	// classic kernel): events by kind, windows, heap high-water, and
-	// cross-shard outbox volume per shard.
+	// ShardLoads is the per-shard load table: events by kind, windows,
+	// heap high-water, and cross-shard outbox volume per shard.
 	ShardLoads []telemetry.ShardLoad
 	// TotalTraffic aggregates every node's traffic counters, source
-	// included, on sharded runs (zero on the classic kernel, where
-	// summing Nodes plus SourceStats is equivalent).
-	TotalTraffic simnet.Stats
+	// included, conserved across slot recycling.
+	TotalTraffic megasim.Stats
 	// ViewInDegree is the in-degree distribution of the final membership
 	// overlay — for each node alive at run end, how many live views hold
-	// its descriptor. Populated only on sharded Cyclon runs (the full-view
-	// substrates have trivial, complete in-degree); deterministic.
+	// its descriptor. Populated only on Cyclon runs (full-view sampling
+	// has trivial, complete in-degree); deterministic.
 	ViewInDegree telemetry.Hist
 	// Wall is the supervisor-sampled wall-time split; zero unless
 	// Config.Telemetry.Clock was set. Excluded from determinism
@@ -460,99 +430,6 @@ func (r *Result) UploadDistribution() []float64 {
 	return out
 }
 
-// Run executes one simulated deployment and collects metrics. With
-// cfg.Shards > 0 the deployment runs on the sharded engine
-// (internal/megasim); otherwise on the single-threaded kernel.
-func Run(cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Shards > 0 {
-		return runSharded(cfg)
-	}
-	sched := sim.New(cfg.Seed)
-	net := simnet.New(sched, cfg.Net)
-
-	src, err := stream.NewSource(cfg.Layout, cfg.Seed+1)
-	if err != nil {
-		return nil, err
-	}
-
-	pssCfg := cfg.effectivePSS()
-	bootRng := xrand.New(cfg.Seed + 4049)
-
-	peers := make([]*core.Peer, cfg.Nodes)
-	samplers := make([]*pss.Node, cfg.Nodes) // nil under MembershipFull
-	for i := 0; i < cfg.Nodes; i++ {
-		id := wire.NodeID(i)
-		rng := xrand.New(cfg.Seed<<20 + int64(i))
-		env := &nodeEnv{id: id, net: net, sched: sched, rng: rng}
-		var sampler member.Sampler
-		if cfg.Membership == MembershipCyclon {
-			boot := bootstrapIDs(id, cfg.Nodes, pssCfg.ShuffleLen, bootRng)
-			samplers[i], err = pss.New(env, pssCfg, boot)
-			if err != nil {
-				return nil, err
-			}
-			sampler = samplers[i]
-		} else {
-			sampler = member.NewFullView(id, cfg.Nodes, rng)
-		}
-		var p *core.Peer
-		if i == 0 {
-			p, err = core.NewSourcePeer(env, cfg.Protocol, sampler, src)
-		} else {
-			proto := cfg.Protocol
-			proto.Leech = freeRider(cfg.FreeRiders, i-1)
-			p, err = core.NewPeer(env, proto, sampler, cfg.Layout)
-		}
-		if err != nil {
-			return nil, err
-		}
-		peers[i] = p
-		net.AddNode(dispatch{peer: p, pss: samplers[i]}, nodeCap(cfg, i), cfg.QueueBytes)
-	}
-
-	for i, p := range peers {
-		if samplers[i] != nil {
-			samplers[i].Start()
-		}
-		p.Start()
-	}
-
-	// Schedule churn bursts. Victims are picked from nodes still alive at
-	// burst time, never the source.
-	stopSampler := func(id wire.NodeID) {
-		if samplers[id] != nil {
-			samplers[id].Stop()
-		}
-	}
-	left := make([]time.Duration, cfg.Nodes)
-	stopPeer := func(id wire.NodeID) { peers[id].Stop() }
-	churnRng := xrand.New(cfg.Seed + 7919)
-	for _, ev := range cfg.Churn {
-		ev := ev
-		sched.At(ev.At, func() {
-			crashBurst(net, aliveNonSource(net, peers), stopPeer, stopSampler, func(id wire.NodeID) { left[id] = ev.At }, ev, churnRng)
-		})
-	}
-
-	end := cfg.Layout.Duration() + cfg.Drain
-	sched.RunUntil(end)
-	return collectResult(cfg, end, net, peers, sched.Fired(), nil, left), nil
-}
-
-// substrate is the surface both simulation engines (simnet.Network and
-// megasim.Engine) expose for churn and result collection. Keeping the
-// shared logic below parameterized over it guarantees the two engines'
-// Results are assembled identically.
-type substrate interface {
-	Alive(wire.NodeID) bool
-	Crash(wire.NodeID)
-	BaseLatency(wire.NodeID) time.Duration
-	NodeStats(wire.NodeID) simnet.Stats
-}
-
 // nodeCap returns node i's upload cap: the source cap for node 0, the
 // heterogeneous mix when configured, the uniform cap otherwise.
 func nodeCap(cfg Config, i int) int64 {
@@ -579,109 +456,6 @@ func freeRider(frac float64, ordinal int) bool {
 	return math.Floor(float64(ordinal+1)*frac) > math.Floor(float64(ordinal)*frac)
 }
 
-// aliveNonSource returns the non-source nodes still alive — the victim
-// pool of every churn shape (bursts and sustained leaves).
-func aliveNonSource(eng substrate, peers []*core.Peer) []wire.NodeID {
-	var eligible []wire.NodeID
-	for i := 1; i < len(peers); i++ {
-		if eng.Alive(wire.NodeID(i)) {
-			eligible = append(eligible, wire.NodeID(i))
-		}
-	}
-	return eligible
-}
-
-// crashNode executes one ungraceful departure: the victim is silenced in
-// the network, its protocol state stopped (via stopPeer — the caller owns
-// the id-to-peer mapping, dense ids on the classic engine, slot-indexed
-// handles on the sharded one), its membership record (via stopSampler,
-// which may be nil) stopped, and the departure recorded (via onCrash,
-// which may be nil). Bursts and sustained leaves share it so crash
-// semantics cannot diverge between churn shapes.
-func crashNode(eng substrate, stopPeer func(wire.NodeID), stopSampler, onCrash func(wire.NodeID), victim wire.NodeID) {
-	eng.Crash(victim)
-	stopPeer(victim)
-	if stopSampler != nil {
-		stopSampler(victim)
-	}
-	if onCrash != nil {
-		onCrash(victim)
-	}
-}
-
-// crashBurst executes one churn event: victims are picked from the given
-// pool — the non-source nodes alive at burst time — and depart
-// ungracefully.
-func crashBurst(eng substrate, eligible []wire.NodeID, stopPeer func(wire.NodeID), stopSampler, onCrash func(wire.NodeID), ev churn.Event, rng *rand.Rand) {
-	for _, victim := range churn.Pick(eligible, ev.Fraction, rng) {
-		crashNode(eng, stopPeer, stopSampler, onCrash, victim)
-	}
-}
-
-// collectResult assembles the Result every engine reports: source
-// counters plus one NodeResult per non-source node (setup-time and
-// runtime-admitted alike). joined and left carry per-node lifetime
-// bookkeeping — either may be nil (no tracking: everyone joined at 0) and
-// a zero left entry means the node was never seen leaving.
-func collectResult(cfg Config, end time.Duration, eng substrate, peers []*core.Peer, events uint64, joined, left []time.Duration) *Result {
-	res := &Result{
-		Config:         cfg,
-		Duration:       end,
-		SourceCounters: peers[0].Counters(),
-		SourceStats:    eng.NodeStats(0),
-		Events:         events,
-	}
-	res.Nodes = make([]NodeResult, 0, len(peers)-1)
-	for i := 1; i < len(peers); i++ {
-		id := wire.NodeID(i)
-		stats := eng.NodeStats(id)
-		survived := eng.Alive(id)
-		var joinedAt time.Duration
-		if joined != nil {
-			joinedAt = joined[i]
-		}
-		leftAt := end
-		if !survived {
-			leftAt = 0
-			if left != nil {
-				leftAt = left[i]
-			}
-		}
-		res.Nodes = append(res.Nodes, NodeResult{
-			ID:            id,
-			Survived:      survived,
-			JoinedAt:      joinedAt,
-			LeftAt:        leftAt,
-			FreeRider:     freeRider(cfg.FreeRiders, i-1),
-			Quality:       metrics.Evaluate(peers[i].Receiver(), cfg.Layout),
-			UploadKbps:    float64(stats.TotalSentBytes()) * 8 / end.Seconds() / 1000,
-			BaseLatencyMS: float64(eng.BaseLatency(id)) / float64(time.Millisecond),
-			Counters:      peers[i].Counters(),
-			Stats:         stats,
-		})
-	}
-	return res
-}
-
-// dispatch routes membership traffic (shuffles, leave announcements) to
-// the sampling service and everything else to the streaming engine.
-type dispatch struct {
-	peer *core.Peer
-	pss  *pss.Node
-}
-
-// HandleMessage implements simnet.Handler.
-func (d dispatch) HandleMessage(from wire.NodeID, msg wire.Message) {
-	switch msg.(type) {
-	case wire.Shuffle, wire.Leave:
-		if d.pss != nil {
-			d.pss.HandleMessage(from, msg)
-		}
-		return
-	}
-	d.peer.HandleMessage(from, msg)
-}
-
 // bootstrapIDs seeds a Cyclon view with k distinct random peers.
 func bootstrapIDs(self wire.NodeID, n, k int, rng *rand.Rand) []wire.NodeID {
 	ids := make(map[wire.NodeID]bool, k)
@@ -704,25 +478,6 @@ func bootstrapIDs(self wire.NodeID, n, k int, rng *rand.Rand) []wire.NodeID {
 	}
 	return out
 }
-
-// nodeEnv adapts the simulator to core.Env for one node.
-type nodeEnv struct {
-	id    wire.NodeID
-	net   *simnet.Network
-	sched *sim.Scheduler
-	rng   *rand.Rand
-}
-
-func (e *nodeEnv) ID() wire.NodeID    { return e.id }
-func (e *nodeEnv) Now() time.Duration { return e.sched.Now() }
-func (e *nodeEnv) Send(to wire.NodeID, msg wire.Message) {
-	e.net.Send(e.id, to, msg)
-}
-func (e *nodeEnv) After(d time.Duration, fn func()) func() {
-	ev := e.sched.After(d, fn)
-	return func() { e.sched.Cancel(ev) }
-}
-func (e *nodeEnv) Rand() *rand.Rand { return e.rng }
 
 // RunMany executes configurations in parallel (bounded by GOMAXPROCS) and
 // returns results in input order. The first error aborts the batch.

@@ -5,13 +5,13 @@ import (
 	"time"
 
 	"gossipstream/internal/core"
+	"gossipstream/internal/megasim"
 	"gossipstream/internal/metrics"
-	"gossipstream/internal/simnet"
 	"gossipstream/internal/stream"
 	"gossipstream/internal/telemetry"
 )
 
-// streamFold accumulates the streaming scoring state of one sharded run.
+// streamFold accumulates the streaming scoring state of one run.
 // A node is folded exactly once, at the moment its lifetime closes —
 // its departure barrier, or run end for survivors — when its receiver
 // can no longer change: a crashed node stops sending, and everything
@@ -46,7 +46,7 @@ func newStreamFold(cfg Config, end time.Duration) *streamFold {
 // fold closes one node's lifetime. The window loops mirror
 // metrics.Evaluate and Result.LifetimeQualities expression for
 // expression, replacing the retained lag slices with flat accumulators.
-func (f *streamFold) fold(joinedAt, leftAt time.Duration, survived, rider bool, p *core.Peer, stats simnet.Stats) {
+func (f *streamFold) fold(joinedAt, leftAt time.Duration, survived, rider bool, p *core.Peer, stats megasim.Stats) {
 	recv := p.Receiver()
 	if survived {
 		// Full-stream accumulator: only survivors are scored on it

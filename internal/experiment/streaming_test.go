@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -160,12 +159,17 @@ func TestStreamingReplayDeterministic(t *testing.T) {
 	}
 }
 
+// TestStreamingMetricsValidation: streaming scoring runs at the default
+// shard count and retains no per-node results.
 func TestStreamingMetricsValidation(t *testing.T) {
 	cfg := smallCfg(1)
 	cfg.StreamingMetrics = true
-	_, err := Run(cfg)
-	if err == nil || !strings.Contains(err.Error(), "sharded engine") {
-		t.Fatalf("classic engine accepted StreamingMetrics (err = %v)", err)
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("StreamingMetrics at the default shard count: %v", err)
+	}
+	if len(res.Nodes) != 0 || res.Streaming == nil || res.Streaming.Nodes != cfg.Nodes-1 {
+		t.Fatalf("streaming run retained %d node results, folded %+v", len(res.Nodes), res.Streaming)
 	}
 }
 

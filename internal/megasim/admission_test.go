@@ -8,7 +8,6 @@ import (
 
 	"gossipstream/internal/pss"
 	"gossipstream/internal/shaping"
-	"gossipstream/internal/simnet"
 	"gossipstream/internal/stream"
 	"gossipstream/internal/wire"
 )
@@ -88,9 +87,9 @@ func TestAdmitNodeAtBarrier(t *testing.T) {
 // TestAdmitNodeDeterministicReplay: runtime admission draws from the setup
 // streams in barrier order, so replays stay bit-identical.
 func TestAdmitNodeDeterministicReplay(t *testing.T) {
-	run := func() ([]time.Duration, []simnet.Stats, uint64) {
+	run := func() ([]time.Duration, []Stats, uint64) {
 		cfg := pss.Config{ViewSize: 8, ShuffleLen: 4, Period: 100 * time.Millisecond}
-		e, states := membershipOverlay(t, 30, 3, 17, cfg, simnet.Config{
+		e, states := membershipOverlay(t, 30, 3, 17, cfg, NetConfig{
 			BaseLatencyMedian: 5 * time.Millisecond,
 			BaseLatencySigma:  0.4,
 			JitterFrac:        0.2,
@@ -115,7 +114,7 @@ func TestAdmitNodeDeterministicReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		bases := make([]time.Duration, e.N())
-		stats := make([]simnet.Stats, e.N())
+		stats := make([]Stats, e.N())
 		for i := 0; i < e.N(); i++ {
 			bases[i] = e.BaseLatency(NodeID(i))
 			stats[i] = e.NodeStats(NodeID(i))
@@ -139,7 +138,7 @@ func TestAdmitNodeDeterministicReplay(t *testing.T) {
 // admitted at runtime must never undercut the lookahead fixed at Run — the
 // conservative window bound would silently break.
 func TestAdmitNodeRespectsLookahead(t *testing.T) {
-	net := simnet.Config{
+	net := NetConfig{
 		BaseLatencyMedian: 20 * time.Millisecond,
 		BaseLatencySigma:  2.5, // wide lognormal: unclamped draws would undercut
 		JitterFrac:        0.3,

@@ -9,7 +9,6 @@ import (
 
 	"gossipstream/internal/member"
 	"gossipstream/internal/shaping"
-	"gossipstream/internal/simnet"
 	"gossipstream/internal/wire"
 )
 
@@ -17,7 +16,7 @@ import (
 // counted sent was either received or accounted to exactly one drop
 // bucket. Stale-handle deliveries fold into DeadDrops; stale-handle sends
 // are never counted sent, so the identity is exact under any churn.
-func assertConserved(t *testing.T, s simnet.Stats) {
+func assertConserved(t *testing.T, s Stats) {
 	t.Helper()
 	var sent, recv uint64
 	for k := range s.SentMsgs {
@@ -97,7 +96,7 @@ func TestArenaSlotRecyclingLifecycle(t *testing.T) {
 	if !e.Alive(reused) {
 		t.Fatal("reused slot's new incarnation is not alive")
 	}
-	if st := e.NodeStats(reused); st != (simnet.Stats{}) {
+	if st := e.NodeStats(reused); st != (Stats{}) {
 		t.Fatalf("new incarnation inherited counters: %+v", st)
 	}
 	// Every accessor rejects the departed incarnation's handle by name.
@@ -199,7 +198,7 @@ func TestStaleReferenceDetection(t *testing.T) {
 		if e.StaleDrops() == 0 {
 			t.Fatal("no stale drops: shuffles to the recycled descriptor went somewhere")
 		}
-		if st := e.NodeStats(newID); st != (simnet.Stats{}) {
+		if st := e.NodeStats(newID); st != (Stats{}) {
 			t.Fatalf("new occupant received stale-descriptor traffic: %+v", st)
 		}
 		total := e.TotalStats()
@@ -332,7 +331,7 @@ func churnRun(t *testing.T) *Engine {
 	e, err := newEngine(Config{
 		Shards: 3,
 		Seed:   9,
-		Net: simnet.Config{
+		Net: NetConfig{
 			BaseLatencyMedian: 5 * time.Millisecond,
 			BaseLatencySigma:  0.3,
 			JitterFrac:        0.2,
@@ -492,9 +491,11 @@ func (h *holder) Handle(wire.NodeID, wire.Message) (member.Emit, bool) { return 
 // countTick counts its protocol rounds and never emits.
 type countTick struct{ n int }
 
-func (c *countTick) Sample(int) []wire.NodeID                             { return nil }
-func (c *countTick) Tick() (member.Emit, bool)                            { c.n++; return member.Emit{}, false }
-func (c *countTick) Handle(wire.NodeID, wire.Message) (member.Emit, bool) { return member.Emit{}, false }
+func (c *countTick) Sample(int) []wire.NodeID  { return nil }
+func (c *countTick) Tick() (member.Emit, bool) { c.n++; return member.Emit{}, false }
+func (c *countTick) Handle(wire.NodeID, wire.Message) (member.Emit, bool) {
+	return member.Emit{}, false
+}
 
 // FuzzArenaRecycling interleaves AddNode / Crash / Release / sends to
 // arbitrary (possibly stale) handles at successive barriers, then checks
@@ -510,7 +511,7 @@ func FuzzArenaRecycling(f *testing.F) {
 			data = data[:48]
 		}
 		type outcome struct {
-			total    simnet.Stats
+			total    Stats
 			fired    uint64
 			stale    uint64
 			added    int
@@ -527,10 +528,10 @@ func FuzzArenaRecycling(f *testing.F) {
 			env0 := e.NodeEnv(0, NewRand(1))
 			e.AddNode(&recorder{env: env0}, shaping.Unlimited, 0)
 			// Model state, mutated by the barrier callbacks in order.
-			handles := []NodeID{0}          // every handle ever minted
-			liveIDs := []NodeID{0}          // currently alive
-			var crashed []NodeID            // crashed, not yet released
-			cur := map[int]NodeID{0: 0}     // slot -> current incarnation
+			handles := []NodeID{0}      // every handle ever minted
+			liveIDs := []NodeID{0}      // currently alive
+			var crashed []NodeID        // crashed, not yet released
+			cur := map[int]NodeID{0: 0} // slot -> current incarnation
 			for i, b := range data {
 				b := b
 				e.AtBarrier(time.Duration(i+1)*10*time.Millisecond, func() {

@@ -1,9 +1,10 @@
-// Package megasim is a sharded discrete-event simulation engine for
-// internet-scale gossip experiments: it runs the same network model as
-// internal/simnet (capped drop-tail uplinks, heterogeneous lognormal
-// latencies, ambient UDP loss, crash failures) but partitions the nodes
-// across per-core shards so 100k+-node deployments complete in minutes
-// instead of hours.
+// Package megasim is the discrete-event simulation engine every simulated
+// deployment runs on: a deterministic model of the paper's testbed
+// network (NetConfig: capped drop-tail uplinks, heterogeneous lognormal
+// latencies, ambient UDP loss, crash failures) whose nodes are
+// partitioned across shards. One shard reproduces the paper's 230-node
+// figures; more shards run in parallel, so 100k+-node deployments complete
+// in minutes instead of hours.
 //
 // # Architecture
 //
@@ -37,10 +38,9 @@
 //
 // # Event representation
 //
-// Unlike internal/simnet, which allocates a closure and a heap node per
-// message, megasim stores events by value in a growable per-shard array
-// heap (one compact record per in-flight message, no per-event
-// allocation) and reuses outbox capacity across windows.
+// Events are stored by value in a growable per-shard queue (one compact
+// record per in-flight message, no per-event allocation), and outbox
+// capacity is reused across windows.
 //
 // # Membership
 //
@@ -97,7 +97,6 @@ import (
 
 	"gossipstream/internal/member"
 	"gossipstream/internal/shaping"
-	"gossipstream/internal/simnet"
 	"gossipstream/internal/telemetry"
 	"gossipstream/internal/wire"
 )
@@ -138,8 +137,7 @@ func makeID(slot int, gen uint16) NodeID {
 	return NodeID(uint32(slot) | uint32(gen)<<slotBits)
 }
 
-// Handler receives messages delivered to a node. It is structurally
-// identical to simnet.Handler so the same node logic drives both engines.
+// Handler receives messages delivered to a node.
 type Handler interface {
 	HandleMessage(from NodeID, msg wire.Message)
 }
@@ -185,12 +183,12 @@ func ParseQueue(s string) (QueueKind, error) {
 	}
 }
 
-// Config controls the engine. The network model is simnet's.
+// Config controls the engine.
 type Config struct {
 	// Net carries the latency, jitter, and loss model. The engine requires
 	// PairSpread < 1 and JitterFrac < 1 so a positive latency lower bound
 	// (the lookahead) exists.
-	Net simnet.Config
+	Net NetConfig
 	// Shards is the number of parallel partitions, normally GOMAXPROCS.
 	Shards int
 	// Seed drives the engine's internal random streams (latency draws,
@@ -238,7 +236,7 @@ type nodeState struct {
 	released bool
 	// stats is written only by the node's own shard (sends from the node,
 	// deliveries to the node), never concurrently.
-	stats simnet.Stats
+	stats Stats
 }
 
 // quarEntry parks a released slot until reuse is provably safe: one full
@@ -300,15 +298,16 @@ type Engine struct {
 	// departed accumulates the traffic counters of retired incarnations,
 	// folded out of a slot when it is recycled, so TotalStats stays
 	// complete across any amount of churn.
-	departed simnet.Stats
+	departed Stats
 
 	// Telemetry, all supervisor-side: wallNow is an injected wall-clock
 	// sampler (teleclock.Clock) read only between phases on the supervisor
 	// goroutine — never per event — so enabling it cannot perturb the
 	// simulated run; snapFn is a periodic snapshot hook called between
 	// conservative windows with every shard quiescent, deliberately NOT a
-	// barrier: it never truncates a window, so runs with and without
-	// snapshots stay bit-identical.
+	// barrier: it never truncates a parallel window (a single shard only
+	// pauses, see Run), so runs with and without snapshots stay
+	// bit-identical.
 	wallNow  func() int64
 	wall     telemetry.WallProfile
 	snapFn   func(at time.Duration)
@@ -624,15 +623,14 @@ func (e *Engine) Release(id NodeID) {
 // BaseLatency returns the node's drawn base latency.
 func (e *Engine) BaseLatency(id NodeID) time.Duration { return e.lookup("BaseLatency", id).base }
 
-// NodeStats returns a snapshot of the node's traffic counters. The
-// counters mirror simnet's, with one attribution difference: DeadDrops —
+// NodeStats returns a snapshot of the node's traffic counters. DeadDrops —
 // messages discarded because an endpoint crashed before delivery — are
-// counted on the receiving node (delivery is the only point where the
-// destination shard owns the check), not the sender. The counters stay
-// readable after Crash and Release; they fold into TotalStats' departed
-// accumulator — and the handle turns stale — only when the slot is
-// actually reused by a later AddNode.
-func (e *Engine) NodeStats(id NodeID) simnet.Stats { return e.lookup("NodeStats", id).stats }
+// counted on the receiving node: delivery is the only point where the
+// destination shard owns the check. The counters stay readable after
+// Crash and Release; they fold into TotalStats' departed accumulator —
+// and the handle turns stale — only when the slot is actually reused by a
+// later AddNode.
+func (e *Engine) NodeStats(id NodeID) Stats { return e.lookup("NodeStats", id).stats }
 
 // TotalStats aggregates every incarnation's traffic counters: the
 // departed accumulator (retired incarnations whose slots were recycled),
@@ -640,7 +638,7 @@ func (e *Engine) NodeStats(id NodeID) simnet.Stats { return e.lookup("NodeStats"
 // recycled slots, counted per shard because the old incarnation's
 // counters are already folded — as DeadDrops. Every sent message is
 // accounted for exactly once across any amount of churn.
-func (e *Engine) TotalStats() simnet.Stats {
+func (e *Engine) TotalStats() Stats {
 	t := e.departed
 	t.DeadDrops += e.StaleDrops()
 	for i := range e.nodes {
@@ -710,9 +708,12 @@ func (e *Engine) WallProfile() telemetry.WallProfile { return e.wall }
 // SetSnapshot registers fn to run on the supervisor goroutine at the
 // first inter-window point at or past each multiple of every, with all
 // shards quiescent (accessors like Live, Fired, ShardLoads are safe).
-// Unlike AtBarrier it never truncates a conservative window, so a run
-// with snapshots enabled is bit-identical to the same run without.
-// Only legal before Run.
+// Unlike AtBarrier it never truncates a conservative window: parallel
+// windows are one lookahead long anyway, and a single shard — whose
+// window would otherwise span the gap between barriers — pauses at each
+// snapshot instant without counting a window. A run with snapshots
+// enabled is bit-identical to the same run without. Only legal before
+// Run.
 func (e *Engine) SetSnapshot(every time.Duration, fn func(at time.Duration)) {
 	if e.ran || e.running {
 		panic("megasim: SetSnapshot after Run started")
@@ -766,8 +767,8 @@ func (e *Engine) minBase() time.Duration {
 	return min
 }
 
-// Run executes the simulation up to and including virtual time until,
-// mirroring sim.Scheduler.RunUntil. It can be called once per engine.
+// Run executes the simulation up to and including virtual time until. It
+// can be called once per engine.
 func (e *Engine) Run(until time.Duration) error {
 	if e.ran {
 		return fmt.Errorf("megasim: Run called twice")
@@ -812,7 +813,7 @@ func (e *Engine) Run(until time.Duration) error {
 
 	// horizon is one past the inclusive deadline: windows are half-open,
 	// so events at exactly `until` execute in a final [until, until+1)
-	// window, matching the single-threaded kernel's RunUntil semantics.
+	// window.
 	horizon := until + 1
 	gi := 0
 	for {
@@ -879,6 +880,15 @@ func (e *Engine) Run(until time.Duration) error {
 		if tg < wEnd {
 			wEnd = tg
 		}
+		// A single shard runs to the next barrier or the horizon in one
+		// window. With snapshots on, the window pauses at each snapshot
+		// instant instead so progress is reported on schedule. One shard
+		// has nothing to merge, so the pause leaves the event order — and
+		// the run — untouched, and it is not counted as a window.
+		split := false
+		if !parallel && e.snapFn != nil && e.snapNext < wEnd {
+			wEnd, split = e.snapNext, true
+		}
 		if parallel {
 			if e.wallNow != nil {
 				t0w := e.wallNow()
@@ -891,18 +901,24 @@ func (e *Engine) Run(until time.Duration) error {
 				e.phase(opRun, wEnd)
 				e.phase(opMerge, 0)
 			}
-		} else if e.wallNow != nil {
-			t0w := e.wallNow()
-			e.shards[0].runWindow(wEnd)
-			e.wall.RunNS += e.wallNow() - t0w
 		} else {
-			e.shards[0].runWindow(wEnd)
+			s := e.shards[0]
+			if !split {
+				s.windowsRun++
+			}
+			if e.wallNow != nil {
+				t0w := e.wallNow()
+				s.runWindow(wEnd)
+				e.wall.RunNS += e.wallNow() - t0w
+			} else {
+				s.runWindow(wEnd)
+			}
 		}
 		e.now = wEnd
 		// Inter-window snapshot: every shard has finished the window and
 		// (in the parallel case) sits blocked on its command channel, so
 		// the hook may read any engine state race-free. Runs never gain or
-		// lose a window from this — the schedule above is untouched.
+		// lose a counted window from this.
 		if e.snapFn != nil && e.now >= e.snapNext {
 			for e.snapNext <= e.now {
 				e.snapNext += e.snapEach
@@ -953,12 +969,12 @@ func (e *Engine) staleMsg(op string, id NodeID) string {
 	return fmt.Sprintf("megasim: %s: stale handle %d (slot %d is at generation %d, handle carries %d): the node departed and its slot was recycled", op, id, Slot(id), e.nodes[uint32(id)&slotMask].gen, Gen(id))
 }
 
-// send transmits msg with the same UDP semantics as simnet.Send: drop-tail
-// congestion at the sender's shaped uplink, Bernoulli loss, crash
-// silences. It executes on the sending node's shard. A send from a stale
-// handle — node logic that outlived its slot's recycling — drops silently
-// exactly like a send from a crashed node (it was never counted sent, so
-// conservation holds), but panics under PanicOnStale.
+// send transmits msg with UDP semantics: drop-tail congestion at the
+// sender's shaped uplink, Bernoulli loss, crash silences. It executes on
+// the sending node's shard. A send from a stale handle — node logic that
+// outlived its slot's recycling — drops silently exactly like a send from
+// a crashed node (it was never counted sent, so conservation holds), but
+// panics under PanicOnStale.
 func (e *Engine) send(sh *shard, from, to NodeID, msg wire.Message) {
 	tslot := uint32(to) & slotMask
 	if int32(to) < 0 || int(tslot) >= len(e.nodes) {
@@ -984,7 +1000,9 @@ func (e *Engine) send(sh *shard, from, to NodeID, msg wire.Message) {
 		recycleMsg(msg)
 		return
 	}
-	// Like simnet: the bandwidth limiter throttles application bytes only.
+	// The shaper models the paper's user-space bandwidth limiter, which
+	// throttles application bytes; IP/UDP headers do not count against the
+	// cap (they are still part of WireSize for the real transport).
 	size := msg.WireSize() - wire.UDPOverheadBytes
 	now := sh.now
 	depart, ok := src.uplink.Enqueue(now, size)
@@ -1091,13 +1109,13 @@ func recycleMsg(msg wire.Message) {
 	}
 }
 
-// pairLatency mirrors simnet's latency model: the mean of the node bases,
-// scaled by the ordered pair's fixed spread factor, plus per-message
-// jitter drawn from the executing shard's stream. The sender a is always
-// current (send gen-checks it), but b may be a stale handle — draining
-// traffic to a recycled slot — whose base lives in the slot's prevBase
-// side table; both bases respect the admit clamp, so the delivery time
-// stays inside the lookahead bound either way. PairFactor hashes the
+// pairLatency is the network model's one-way delay: the mean of the node
+// bases, scaled by the ordered pair's fixed spread factor (PairFactor),
+// plus per-message jitter drawn from the executing shard's stream. The
+// sender a is always current (send gen-checks it), but b may be a stale
+// handle — draining traffic to a recycled slot — whose base lives in the
+// slot's prevBase side table; both bases respect the admit clamp, so the
+// delivery time stays inside the lookahead bound either way. PairFactor hashes the
 // full handles, so a stale pair's spread factor is deterministic too.
 func (e *Engine) pairLatency(sh *shard, a, b NodeID) time.Duration {
 	sb := &e.nodes[uint32(b)&slotMask]
@@ -1107,7 +1125,7 @@ func (e *Engine) pairLatency(sh *shard, a, b NodeID) time.Duration {
 	}
 	base := float64(e.nodes[uint32(a)&slotMask].base+bb) / 2
 	if e.cfg.Net.PairSpread > 0 {
-		base *= simnet.PairFactor(e.pairSalt, a, b, e.cfg.Net.PairSpread)
+		base *= PairFactor(e.pairSalt, a, b, e.cfg.Net.PairSpread)
 	}
 	if e.cfg.Net.JitterFrac > 0 {
 		base *= 1 + e.cfg.Net.JitterFrac*(2*sh.rng.Float64()-1)

@@ -8,15 +8,14 @@ import (
 	"time"
 
 	"gossipstream/internal/shaping"
-	"gossipstream/internal/simnet"
 	"gossipstream/internal/stream"
 	"gossipstream/internal/wire"
 )
 
 // flatNet is a latency model with no randomness: every pair is exactly
 // the median apart, nothing is lost.
-func flatNet(median time.Duration) simnet.Config {
-	return simnet.Config{BaseLatencyMedian: median}
+func flatNet(median time.Duration) NetConfig {
+	return NetConfig{BaseLatencyMedian: median}
 }
 
 // queueFlag re-runs the engine-level tests against a specific scheduler:
@@ -51,11 +50,11 @@ func (r *recorder) HandleMessage(from NodeID, msg wire.Message) {
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Shards: 0},
-		{Shards: 1, Net: simnet.Config{LossRate: 1}},
-		{Shards: 1, Net: simnet.Config{LossRate: -0.1}},
-		{Shards: 1, Net: simnet.Config{PairSpread: 1}},
-		{Shards: 1, Net: simnet.Config{JitterFrac: 1}},
-		{Shards: 1, Net: simnet.Config{BaseLatencySigma: -1}},
+		{Shards: 1, Net: NetConfig{LossRate: 1}},
+		{Shards: 1, Net: NetConfig{LossRate: -0.1}},
+		{Shards: 1, Net: NetConfig{PairSpread: 1}},
+		{Shards: 1, Net: NetConfig{JitterFrac: 1}},
+		{Shards: 1, Net: NetConfig{BaseLatencySigma: -1}},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -165,12 +164,12 @@ func (c *chatter) tick() {
 	c.env.After(c.period, c.tick)
 }
 
-func chatterRun(t *testing.T, seed int64, shards int) ([]simnet.Stats, uint64) {
+func chatterRun(t *testing.T, seed int64, shards int) ([]Stats, uint64) {
 	t.Helper()
 	cfg := Config{
 		Shards: shards,
 		Seed:   seed,
-		Net: simnet.Config{
+		Net: NetConfig{
 			LossRate:          0.05,
 			BaseLatencyMedian: 5 * time.Millisecond,
 			BaseLatencySigma:  0.4,
@@ -198,7 +197,7 @@ func chatterRun(t *testing.T, seed int64, shards int) ([]simnet.Stats, uint64) {
 	if err := e.Run(500 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	stats := make([]simnet.Stats, n)
+	stats := make([]Stats, n)
 	for i := range stats {
 		stats[i] = e.NodeStats(NodeID(i))
 	}

@@ -9,7 +9,6 @@ import (
 
 	"gossipstream/internal/pss"
 	"gossipstream/internal/shaping"
-	"gossipstream/internal/simnet"
 	"gossipstream/internal/wire"
 )
 
@@ -21,7 +20,7 @@ func (sink) HandleMessage(NodeID, wire.Message) {}
 
 // membershipOverlay builds an engine of n silent nodes, each with a
 // pss.State attached, bootstrapped with k random peers.
-func membershipOverlay(t *testing.T, n, shards int, seed int64, cfg pss.Config, net simnet.Config) (*Engine, []*pss.State) {
+func membershipOverlay(t *testing.T, n, shards int, seed int64, cfg pss.Config, net NetConfig) (*Engine, []*pss.State) {
 	t.Helper()
 	e, err := newEngine(Config{Shards: shards, Seed: seed, Net: net})
 	if err != nil {
@@ -76,10 +75,10 @@ func TestMembershipShufflesFlow(t *testing.T) {
 // cross-shard shuffle handover happens at barriers in deterministic shard
 // order like all other traffic.
 func TestMembershipDeterministicReplay(t *testing.T) {
-	run := func() ([][]wire.ShuffleEntry, []simnet.Stats, uint64) {
+	run := func() ([][]wire.ShuffleEntry, []Stats, uint64) {
 		cfg := pss.DefaultConfig()
 		cfg.Period = 200 * time.Millisecond
-		e, states := membershipOverlay(t, 40, 4, 11, cfg, simnet.Config{
+		e, states := membershipOverlay(t, 40, 4, 11, cfg, NetConfig{
 			BaseLatencyMedian: 5 * time.Millisecond,
 			BaseLatencySigma:  0.4,
 			JitterFrac:        0.3,
@@ -90,7 +89,7 @@ func TestMembershipDeterministicReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		views := make([][]wire.ShuffleEntry, len(states))
-		stats := make([]simnet.Stats, len(states))
+		stats := make([]Stats, len(states))
 		for i, st := range states {
 			views[i] = st.View()
 			stats[i] = e.NodeStats(NodeID(i))

@@ -2,8 +2,8 @@ package megasim
 
 import "time"
 
-// scheduler is the per-shard event queue contract. Both engines — the
-// 4-ary heap and the calendar queue — maintain the strict (at, seq) total
+// scheduler is the per-shard event queue contract. Both implementations —
+// the 4-ary heap and the calendar queue — maintain the strict (at, seq) total
 // order, so for a fixed (seed, shards) pair the pop sequence, and with it
 // the whole simulated run, is bit-identical across queue kinds.
 //

@@ -20,9 +20,8 @@ const (
 
 // event is one scheduled occurrence, stored by value in the shard's
 // scheduler: a timer, a message delivery, or a membership tick (the node
-// id rides in to). Compared to simnet's closure-per-message
-// representation this is a single flat record, so the per-message cost is
-// a queue slot, not two heap allocations — a property both queue kinds
+// id rides in to). A message is a single flat record, so its cost is a
+// queue slot, not a closure and a heap node — a property both queue kinds
 // preserve.
 type event struct {
 	at      time.Duration
@@ -77,7 +76,7 @@ type shard struct {
 	timers      uint64 // evTimer events executed
 	delivers    uint64 // evDeliver events executed
 	memberTicks uint64 // evMemberTick events executed
-	windowsRun  uint64 // conservative windows run
+	windowsRun  uint64 // conservative windows run (counted by the caller of runWindow)
 	outboxOut   uint64 // cross-shard messages handed to other shards
 	outboxIn    uint64 // cross-shard messages merged in
 	staleDrops  uint64 // deliveries addressed to recycled (stale) handles
@@ -111,6 +110,7 @@ func (s *shard) work() {
 	for cmd := range s.cmds {
 		switch cmd.op {
 		case opRun:
+			s.windowsRun++
 			s.runWindow(cmd.t)
 		case opMerge:
 			s.mergeInbound()
@@ -124,7 +124,6 @@ func (s *shard) work() {
 // Events scheduled mid-window (timers, same-shard deliveries, membership
 // ticks) run in the same window when they fall before end.
 func (s *shard) runWindow(end time.Duration) {
-	s.windowsRun++
 	for {
 		at, ok := s.q.peekAt()
 		if !ok || at >= end {

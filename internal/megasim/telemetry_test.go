@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"gossipstream/internal/shaping"
-	"gossipstream/internal/simnet"
 	"gossipstream/internal/telemetry"
 	"gossipstream/internal/wire"
 )
@@ -17,7 +16,7 @@ func loadRun(t *testing.T, shards int, snapEvery time.Duration, snaps *[]time.Du
 	cfg := Config{
 		Shards: shards,
 		Seed:   11,
-		Net: simnet.Config{
+		Net: NetConfig{
 			LossRate:          0.05,
 			BaseLatencyMedian: 5 * time.Millisecond,
 			BaseLatencySigma:  0.4,
@@ -195,6 +194,34 @@ func TestSnapshotsDoNotPerturbTheRun(t *testing.T) {
 			t.Fatalf("snapshot times not increasing: %v after %v", at, prev)
 		}
 		prev = at
+	}
+}
+
+// TestSingleShardSnapshotsOnSchedule: one shard runs the gap between
+// barriers as a single window, which must still pause at every snapshot
+// instant — without changing the run or its window count.
+func TestSingleShardSnapshotsOnSchedule(t *testing.T) {
+	base := loadRun(t, 1, 0, nil, nil)
+	var snaps []time.Duration
+	obs := loadRun(t, 1, 20*time.Millisecond, &snaps, nil)
+	if len(snaps) != 15 {
+		t.Fatalf("got %d snapshots over 300ms every 20ms, want 15: %v", len(snaps), snaps)
+	}
+	for i, at := range snaps {
+		if want := time.Duration(i+1) * 20 * time.Millisecond; at != want {
+			t.Fatalf("snapshot %d at %v, want %v", i, at, want)
+		}
+	}
+	if base.Fired() != obs.Fired() {
+		t.Fatalf("snapshots changed the event count: %d vs %d", base.Fired(), obs.Fired())
+	}
+	for i := 0; i < base.N(); i++ {
+		if base.NodeStats(NodeID(i)) != obs.NodeStats(NodeID(i)) {
+			t.Fatalf("snapshots changed node %d's counters", i)
+		}
+	}
+	if b, o := base.ShardLoads(), obs.ShardLoads(); b[0] != o[0] {
+		t.Fatalf("snapshot pauses changed the shard load:\n%+v\n%+v", b[0], o[0])
 	}
 }
 

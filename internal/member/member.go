@@ -10,8 +10,8 @@
 //     current partner with the requester.
 //
 // Selection is uniform over the substrate's membership view. The paper
-// assumes global knowledge of the node set and no repair — FullView and
-// SparseView model exactly that: crashed nodes are never removed. Deployed
+// assumes global knowledge of the node set and no repair — SparseView
+// models exactly that: crashed nodes are never removed. Deployed
 // systems instead run a membership gossip layer with partial views; the
 // DynamicSampler interface is the engine-facing contract such substrates
 // (internal/pss) satisfy, letting every simulation engine drive static and
@@ -31,7 +31,7 @@ import (
 const Never = 0
 
 // Sampler provides uniform random node samples. It abstracts the membership
-// substrate: FullView samples from global knowledge (the paper's model),
+// substrate: SparseView samples from global knowledge (the paper's model),
 // while partial-view protocols (internal/pss) can stand in for it.
 type Sampler interface {
 	// Sample returns up to k distinct random node ids, never including the
@@ -81,48 +81,9 @@ func (Static) Tick() (Emit, bool) { return Emit{}, false }
 // Handle implements DynamicSampler; a static view ignores all traffic.
 func (Static) Handle(wire.NodeID, wire.Message) (Emit, bool) { return Emit{}, false }
 
-// FullView is a Sampler over static global membership [0, n) minus self.
-type FullView struct {
-	Static
-	self wire.NodeID
-	all  []wire.NodeID
-	rng  *rand.Rand
-}
-
-// NewFullView returns a full-membership sampler for a system of n nodes.
-func NewFullView(self wire.NodeID, n int, rng *rand.Rand) *FullView {
-	if n <= 0 {
-		panic(fmt.Sprintf("member: system size %d", n))
-	}
-	all := make([]wire.NodeID, 0, n-1)
-	for i := 0; i < n; i++ {
-		if wire.NodeID(i) != self {
-			all = append(all, wire.NodeID(i))
-		}
-	}
-	return &FullView{self: self, all: all, rng: rng}
-}
-
-// Sample implements Sampler with a partial Fisher–Yates shuffle.
-func (v *FullView) Sample(k int) []wire.NodeID {
-	if k > len(v.all) {
-		k = len(v.all)
-	}
-	if k <= 0 {
-		return nil
-	}
-	for i := 0; i < k; i++ {
-		j := i + v.rng.Intn(len(v.all)-i)
-		v.all[i], v.all[j] = v.all[j], v.all[i]
-	}
-	out := make([]wire.NodeID, k)
-	copy(out, v.all[:k])
-	return out
-}
-
 // SparseView is a Sampler over static global membership [0, n) minus self
-// that stores O(1) state instead of FullView's O(n) permutation array —
-// at 100k+ nodes the per-node array would dominate all memory. Samples are
+// that stores O(1) state instead of an O(n) permutation array — at 100k+
+// nodes a per-node array would dominate all memory. Samples are
 // drawn by rejection, which is cheap while k ≪ n; for tiny systems
 // (k close to n) it degrades gracefully by enumerating.
 type SparseView struct {
@@ -181,12 +142,9 @@ draw:
 	return out
 }
 
-// Compile-time checks: the static views satisfy the engine-facing
-// dynamic-view contract through their embedded no-op dynamics.
-var (
-	_ DynamicSampler = (*FullView)(nil)
-	_ DynamicSampler = (*SparseView)(nil)
-)
+// Compile-time check: the static view satisfies the engine-facing
+// dynamic-view contract through its embedded no-op dynamics.
+var _ DynamicSampler = (*SparseView)(nil)
 
 // View yields the communication partners for each gossip round, applying
 // the refresh-rate knob X and feed-me insertions.

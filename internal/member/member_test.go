@@ -8,76 +8,10 @@ import (
 	"gossipstream/internal/wire"
 )
 
-func TestFullViewExcludesSelf(t *testing.T) {
-	v := NewFullView(3, 10, rand.New(rand.NewSource(1)))
-	for trial := 0; trial < 100; trial++ {
-		for _, id := range v.Sample(9) {
-			if id == 3 {
-				t.Fatal("Sample returned self")
-			}
-		}
-	}
-}
-
-func TestFullViewSampleDistinct(t *testing.T) {
-	v := NewFullView(0, 50, rand.New(rand.NewSource(2)))
-	for trial := 0; trial < 100; trial++ {
-		got := v.Sample(10)
-		if len(got) != 10 {
-			t.Fatalf("Sample(10) returned %d ids", len(got))
-		}
-		seen := make(map[wire.NodeID]bool)
-		for _, id := range got {
-			if seen[id] {
-				t.Fatalf("duplicate id %d in sample", id)
-			}
-			seen[id] = true
-		}
-	}
-}
-
-func TestFullViewSampleClampsToPopulation(t *testing.T) {
-	v := NewFullView(0, 5, rand.New(rand.NewSource(3)))
-	if got := v.Sample(100); len(got) != 4 {
-		t.Fatalf("Sample(100) of 4 peers returned %d", len(got))
-	}
-	if got := v.Sample(0); got != nil {
-		t.Fatalf("Sample(0) = %v, want nil", got)
-	}
-}
-
-func TestFullViewUniformity(t *testing.T) {
-	// Chi-square-ish sanity check: over many samples every peer should be
-	// picked a similar number of times.
-	const n, k, trials = 21, 5, 4000
-	v := NewFullView(20, n, rand.New(rand.NewSource(4)))
-	counts := make(map[wire.NodeID]int)
-	for i := 0; i < trials; i++ {
-		for _, id := range v.Sample(k) {
-			counts[id]++
-		}
-	}
-	want := float64(trials*k) / float64(n-1) // = 1000
-	for id, c := range counts {
-		if float64(c) < want*0.8 || float64(c) > want*1.2 {
-			t.Fatalf("node %d selected %d times, want ≈%.0f (non-uniform)", id, c, want)
-		}
-	}
-}
-
-func TestFullViewInvalidSizePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewFullView(0 nodes) did not panic")
-		}
-	}()
-	NewFullView(0, 0, rand.New(rand.NewSource(1)))
-}
-
 func TestViewRefreshEveryCall(t *testing.T) {
 	// X = 1: partner sets should change essentially every round.
 	rng := rand.New(rand.NewSource(5))
-	v := NewView(NewFullView(0, 200, rng), 7, 1, rng)
+	v := NewView(NewSparseView(0, 200, rng), 7, 1, rng)
 	changes := 0
 	prev := append([]wire.NodeID(nil), v.Partners()...)
 	for i := 0; i < 50; i++ {
@@ -96,7 +30,7 @@ func TestViewRefreshEveryX(t *testing.T) {
 	// X = 5: partners must be stable within each 5-call window and change
 	// across windows (with overwhelming probability for n=200).
 	rng := rand.New(rand.NewSource(6))
-	v := NewView(NewFullView(0, 200, rng), 7, 5, rng)
+	v := NewView(NewSparseView(0, 200, rng), 7, 5, rng)
 	var windows [][]wire.NodeID
 	for w := 0; w < 4; w++ {
 		first := append([]wire.NodeID(nil), v.Partners()...)
@@ -114,7 +48,7 @@ func TestViewRefreshEveryX(t *testing.T) {
 
 func TestViewNeverRefreshes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	v := NewView(NewFullView(0, 200, rng), 7, Never, rng)
+	v := NewView(NewSparseView(0, 200, rng), 7, Never, rng)
 	first := append([]wire.NodeID(nil), v.Partners()...)
 	for i := 0; i < 100; i++ {
 		if !sameSet(first, v.Partners()) {
@@ -128,7 +62,7 @@ func TestViewNeverRefreshes(t *testing.T) {
 
 func TestViewCurrentDoesNotAdvance(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	v := NewView(NewFullView(0, 50, rng), 3, 1, rng)
+	v := NewView(NewSparseView(0, 50, rng), 3, 1, rng)
 	cur := append([]wire.NodeID(nil), v.Current()...)
 	if !sameSet(cur, v.Current()) {
 		t.Fatal("Current() changed the partner set")
@@ -140,7 +74,7 @@ func TestViewCurrentDoesNotAdvance(t *testing.T) {
 
 func TestViewInsertReplacesOnePartner(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	v := NewView(NewFullView(0, 100, rng), 5, Never, rng)
+	v := NewView(NewSparseView(0, 100, rng), 5, Never, rng)
 	before := append([]wire.NodeID(nil), v.Current()...)
 	requester := wire.NodeID(99)
 	for contains(before, requester) {
@@ -167,7 +101,7 @@ func TestViewInsertReplacesOnePartner(t *testing.T) {
 
 func TestViewInsertIdempotentForExistingPartner(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	v := NewView(NewFullView(0, 10, rng), 5, Never, rng)
+	v := NewView(NewSparseView(0, 10, rng), 5, Never, rng)
 	before := append([]wire.NodeID(nil), v.Current()...)
 	v.Insert(before[2])
 	if !sameSet(before, v.Current()) {
@@ -177,7 +111,7 @@ func TestViewInsertIdempotentForExistingPartner(t *testing.T) {
 
 func TestViewPanicsOnBadParameters(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	s := NewFullView(0, 10, rng)
+	s := NewSparseView(0, 10, rng)
 	for _, tc := range []struct {
 		name            string
 		fanout, refresh int
@@ -202,7 +136,7 @@ func TestViewRefreshScheduleProperty(t *testing.T) {
 	f := func(xRaw uint8, seed int64) bool {
 		x := int(xRaw%10) + 1
 		rng := rand.New(rand.NewSource(seed))
-		v := NewView(NewFullView(0, 300, rng), 6, x, rng)
+		v := NewView(NewSparseView(0, 300, rng), 6, x, rng)
 		prev := append([]wire.NodeID(nil), v.Partners()...)
 		for call := 1; call < 40; call++ {
 			cur := v.Partners()
@@ -326,10 +260,9 @@ func TestSparseViewInvalidSizePanics(t *testing.T) {
 }
 
 func TestStaticDynamicsAreNoOps(t *testing.T) {
-	// The static views satisfy the engine-facing DynamicSampler contract
-	// through embedded no-op dynamics: they never emit and ignore traffic.
+	// The static view satisfies the engine-facing DynamicSampler contract
+	// through embedded no-op dynamics: it never emits and ignores traffic.
 	var samplers = []DynamicSampler{
-		NewFullView(0, 10, rand.New(rand.NewSource(1))),
 		NewSparseView(0, 10, rand.New(rand.NewSource(1))),
 	}
 	for i, s := range samplers {

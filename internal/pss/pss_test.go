@@ -1,59 +1,46 @@
 package pss
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
-	"gossipstream/internal/sim"
+	"gossipstream/internal/megasim"
+	"gossipstream/internal/shaping"
 	"gossipstream/internal/wire"
 )
 
-// bus delivers shuffle messages between pss nodes with a fixed delay.
-type bus struct {
-	sched *sim.Scheduler
-	nodes map[wire.NodeID]*Node
-	sent  int
-}
+// sink is the streaming handler of an overlay node: only membership
+// traffic flows, and the engine routes it to the node's record.
+type sink struct{}
 
-type busEnv struct {
-	id  wire.NodeID
-	bus *bus
-	rng *rand.Rand
-}
+func (sink) HandleMessage(wire.NodeID, wire.Message) {}
 
-func (e *busEnv) ID() wire.NodeID { return e.id }
-func (e *busEnv) Send(to wire.NodeID, msg wire.Message) {
-	e.bus.sent++
-	e.bus.sched.After(5*time.Millisecond, func() {
-		if n, ok := e.bus.nodes[to]; ok {
-			n.HandleMessage(e.id, msg)
-		}
-	})
-}
-func (e *busEnv) After(d time.Duration, fn func()) func() {
-	ev := e.bus.sched.After(d, fn)
-	return func() { e.bus.sched.Cancel(ev) }
-}
-func (e *busEnv) Rand() *rand.Rand { return e.rng }
-
-// overlay builds n pss nodes bootstrapped in a ring (each knows the next 2).
-func overlay(t *testing.T, n int, cfg Config) (*sim.Scheduler, *bus, []*Node) {
+// overlay runs n records bootstrapped in a ring (each knows the next 2)
+// on a one-shard engine over a flat, lossless 5 ms network, until the
+// given time. setup, when non-nil, runs before the engine starts — to
+// stop records or register barrier hooks.
+func overlay(t *testing.T, n int, cfg Config, until time.Duration, setup func(*megasim.Engine, []*State)) (*megasim.Engine, []*State) {
 	t.Helper()
-	sched := sim.New(5)
-	b := &bus{sched: sched, nodes: make(map[wire.NodeID]*Node)}
-	nodes := make([]*Node, n)
+	eng, err := megasim.New(megasim.Config{Net: megasim.NetConfig{BaseLatencyMedian: 5 * time.Millisecond}, Shards: 1, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := make([]*State, n)
 	for i := 0; i < n; i++ {
-		env := &busEnv{id: wire.NodeID(i), bus: b, rng: rand.New(rand.NewSource(int64(i + 1)))}
+		id := eng.AddNode(sink{}, shaping.Unlimited, 0)
 		boot := []wire.NodeID{wire.NodeID((i + 1) % n), wire.NodeID((i + 2) % n)}
-		node, err := New(env, cfg, boot)
-		if err != nil {
+		if states[i], err = NewState(id, cfg, int64(i+1), boot); err != nil {
 			t.Fatal(err)
 		}
-		nodes[i] = node
-		b.nodes[wire.NodeID(i)] = node
+		eng.AttachSampler(id, states[i], cfg.Period)
 	}
-	return sched, b, nodes
+	if setup != nil {
+		setup(eng, states)
+	}
+	if err := eng.Run(until); err != nil {
+		t.Fatal(err)
+	}
+	return eng, states
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -80,32 +67,25 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestBootstrapExcludesSelf(t *testing.T) {
-	sched := sim.New(1)
-	b := &bus{sched: sched, nodes: make(map[wire.NodeID]*Node)}
-	env := &busEnv{id: 3, bus: b, rng: rand.New(rand.NewSource(1))}
-	n, err := New(env, DefaultConfig(), []wire.NodeID{3, 4, 5})
+	st, err := NewState(3, DefaultConfig(), 1, []wire.NodeID{3, 4, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range n.View() {
+	for _, e := range st.View() {
 		if e.ID == 3 {
 			t.Fatal("bootstrap included self")
 		}
 	}
-	if len(n.View()) != 2 {
-		t.Fatalf("view = %d entries, want 2", len(n.View()))
+	if len(st.View()) != 2 {
+		t.Fatalf("view = %d entries, want 2", len(st.View()))
 	}
 }
 
 func TestViewBounded(t *testing.T) {
 	cfg := Config{ViewSize: 4, ShuffleLen: 2, Period: 100 * time.Millisecond}
-	sched, _, nodes := overlay(t, 30, cfg)
-	for _, n := range nodes {
-		n.Start()
-	}
-	sched.RunUntil(30 * time.Second)
-	for i, n := range nodes {
-		if got := len(n.View()); got > cfg.ViewSize {
+	_, states := overlay(t, 30, cfg, 30*time.Second, nil)
+	for i, st := range states {
+		if got := len(st.View()); got > cfg.ViewSize {
 			t.Fatalf("node %d view has %d entries, bound is %d", i, got, cfg.ViewSize)
 		}
 	}
@@ -113,37 +93,29 @@ func TestViewBounded(t *testing.T) {
 
 func TestViewsDiversifyBeyondBootstrap(t *testing.T) {
 	cfg := Config{ViewSize: 8, ShuffleLen: 4, Period: 100 * time.Millisecond}
-	sched, _, nodes := overlay(t, 40, cfg)
-	for _, n := range nodes {
-		n.Start()
-	}
-	sched.RunUntil(60 * time.Second)
+	_, states := overlay(t, 40, cfg, 60*time.Second, nil)
 	// After a minute of shuffling each node must know peers well beyond
 	// its two ring successors.
-	for i, n := range nodes {
+	for i, st := range states {
 		beyond := 0
-		for _, e := range n.View() {
+		for _, e := range st.View() {
 			d := (int(e.ID) - i + 40) % 40
 			if d > 2 {
 				beyond++
 			}
 		}
 		if beyond < 3 {
-			t.Fatalf("node %d still ring-bound: view %v", i, n.View())
+			t.Fatalf("node %d still ring-bound: view %v", i, st.View())
 		}
 	}
 }
 
 func TestNoSelfOrDuplicateDescriptors(t *testing.T) {
 	cfg := Config{ViewSize: 6, ShuffleLen: 3, Period: 100 * time.Millisecond}
-	sched, _, nodes := overlay(t, 25, cfg)
-	for _, n := range nodes {
-		n.Start()
-	}
-	sched.RunUntil(30 * time.Second)
-	for i, n := range nodes {
+	_, states := overlay(t, 25, cfg, 30*time.Second, nil)
+	for i, st := range states {
 		seen := make(map[wire.NodeID]bool)
-		for _, e := range n.View() {
+		for _, e := range st.View() {
 			if e.ID == wire.NodeID(i) {
 				t.Fatalf("node %d has itself in view", i)
 			}
@@ -157,14 +129,10 @@ func TestNoSelfOrDuplicateDescriptors(t *testing.T) {
 
 func TestInDegreeBalanced(t *testing.T) {
 	cfg := Config{ViewSize: 8, ShuffleLen: 4, Period: 100 * time.Millisecond}
-	sched, _, nodes := overlay(t, 40, cfg)
-	for _, n := range nodes {
-		n.Start()
-	}
-	sched.RunUntil(60 * time.Second)
+	_, states := overlay(t, 40, cfg, 60*time.Second, nil)
 	indeg := make(map[wire.NodeID]int)
-	for _, n := range nodes {
-		for _, e := range n.View() {
+	for _, st := range states {
+		for _, e := range st.View() {
 			indeg[e.ID]++
 		}
 	}
@@ -182,60 +150,53 @@ func TestInDegreeBalanced(t *testing.T) {
 
 func TestSampleUniformish(t *testing.T) {
 	cfg := Config{ViewSize: 10, ShuffleLen: 5, Period: 100 * time.Millisecond}
-	sched, _, nodes := overlay(t, 30, cfg)
-	for _, n := range nodes {
-		n.Start()
-	}
-	sched.RunUntil(60 * time.Second)
-	// Sampling repeatedly from node 0 over further shuffles should reach
-	// many distinct peers.
+	// After a minute of shuffling, sampling repeatedly from node 0 over
+	// further shuffles should reach many distinct peers.
 	reached := make(map[wire.NodeID]bool)
-	for round := 0; round < 200; round++ {
-		sched.RunUntil(sched.Now() + 500*time.Millisecond)
-		for _, id := range nodes[0].Sample(3) {
-			reached[id] = true
+	overlay(t, 30, cfg, 160*time.Second, func(eng *megasim.Engine, states []*State) {
+		for round := 1; round <= 200; round++ {
+			eng.AtBarrier(60*time.Second+time.Duration(round)*500*time.Millisecond, func() {
+				for _, id := range states[0].Sample(3) {
+					reached[id] = true
+				}
+			})
 		}
-	}
+	})
 	if len(reached) < 20 {
 		t.Fatalf("sampling from a partial view reached only %d/29 peers", len(reached))
 	}
 }
 
 func TestSampleBounds(t *testing.T) {
-	sched := sim.New(2)
-	b := &bus{sched: sched, nodes: make(map[wire.NodeID]*Node)}
-	env := &busEnv{id: 0, bus: b, rng: rand.New(rand.NewSource(1))}
-	n, err := New(env, DefaultConfig(), []wire.NodeID{1, 2})
+	st, err := NewState(0, DefaultConfig(), 1, []wire.NodeID{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := n.Sample(10); len(got) != 2 {
+	if got := st.Sample(10); len(got) != 2 {
 		t.Fatalf("Sample(10) of a 2-entry view returned %d", len(got))
 	}
-	if got := n.Sample(0); got != nil {
+	if got := st.Sample(0); got != nil {
 		t.Fatalf("Sample(0) = %v", got)
 	}
 }
 
 func TestDeadNodesAgeOut(t *testing.T) {
 	cfg := Config{ViewSize: 6, ShuffleLen: 3, Period: 100 * time.Millisecond}
-	sched, b, nodes := overlay(t, 20, cfg)
-	for _, n := range nodes {
-		n.Start()
-	}
-	sched.RunUntil(20 * time.Second)
-	// Kill node 7: remove it from the bus and stop it. Its descriptors
-	// must eventually vanish from all views (they age, get picked as
-	// oldest, and are dropped without refresh).
-	nodes[7].Stop()
-	delete(b.nodes, 7)
-	sched.RunUntil(sched.Now() + 120*time.Second)
+	// Crash node 7 after 20 s: its descriptors must eventually vanish
+	// from all views (they age, get picked as oldest, and are dropped
+	// without refresh).
+	_, states := overlay(t, 20, cfg, 140*time.Second, func(eng *megasim.Engine, states []*State) {
+		eng.AtBarrier(20*time.Second, func() {
+			states[7].Stop()
+			eng.Crash(7)
+		})
+	})
 	holders := 0
-	for i, n := range nodes {
+	for i, st := range states {
 		if i == 7 {
 			continue
 		}
-		for _, e := range n.View() {
+		for _, e := range st.View() {
 			if e.ID == 7 {
 				holders++
 			}
@@ -248,33 +209,36 @@ func TestDeadNodesAgeOut(t *testing.T) {
 
 func TestStoppedNodeSilent(t *testing.T) {
 	cfg := DefaultConfig()
-	sched, b, nodes := overlay(t, 5, cfg)
-	nodes[0].Start()
-	nodes[0].Stop()
-	before := b.sent
-	sched.RunUntil(10 * time.Second)
-	if b.sent != before {
-		t.Fatal("stopped node kept shuffling")
+	eng, states := overlay(t, 5, cfg, 10*time.Second, func(_ *megasim.Engine, states []*State) {
+		states[0].Stop()
+	})
+	if got := eng.NodeStats(0).SentMsgs[wire.KindShuffle]; got != 0 || states[0].ShufflesSent() != 0 {
+		t.Fatalf("stopped node sent %d shuffles", got)
+	}
+	if eng.NodeStats(1).SentMsgs[wire.KindShuffle] == 0 {
+		t.Fatal("live nodes did not shuffle")
 	}
 	// Handler is inert when stopped.
-	nodes[0].HandleMessage(1, wire.Shuffle{Entries: []wire.ShuffleEntry{{ID: 4}}})
-	if b.sent != before {
+	if _, ok := states[0].Handle(1, wire.Shuffle{Entries: []wire.ShuffleEntry{{ID: 4}}}); ok {
 		t.Fatal("stopped node replied to a shuffle")
 	}
 }
 
 func TestShuffleRequestGetsReply(t *testing.T) {
-	cfg := DefaultConfig()
-	_, b, nodes := overlay(t, 3, cfg)
-	nodes[1].Start()
-	nodes[1].HandleMessage(0, wire.Shuffle{Entries: []wire.ShuffleEntry{{ID: 2, Age: 1}}})
-	if b.sent != 1 {
-		t.Fatalf("request produced %d messages, want 1 reply", b.sent)
+	st, err := NewState(1, DefaultConfig(), 1, []wire.NodeID{0})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The received descriptor must be merged immediately (later shuffles
-	// may legitimately rotate it out again, so don't run the scheduler).
+	em, ok := st.Handle(0, wire.Shuffle{Entries: []wire.ShuffleEntry{{ID: 2, Age: 1}}})
+	if !ok || em.To != 0 {
+		t.Fatalf("request produced (%+v, %v), want a reply to 0", em, ok)
+	}
+	if reply, isShuffle := em.Msg.(wire.Shuffle); !isShuffle || !reply.Reply {
+		t.Fatalf("reply = %#v, want a shuffle reply", em.Msg)
+	}
+	// The received descriptor must be merged immediately.
 	found := false
-	for _, e := range nodes[1].View() {
+	for _, e := range st.View() {
 		if e.ID == 2 {
 			found = true
 		}
@@ -285,32 +249,25 @@ func TestShuffleRequestGetsReply(t *testing.T) {
 }
 
 func TestInsertKeepsYoungerAge(t *testing.T) {
-	sched := sim.New(3)
-	b := &bus{sched: sched, nodes: make(map[wire.NodeID]*Node)}
-	env := &busEnv{id: 0, bus: b, rng: rand.New(rand.NewSource(1))}
-	n, err := New(env, DefaultConfig(), []wire.NodeID{1})
+	st, err := NewState(0, DefaultConfig(), 1, []wire.NodeID{1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.running = true
-	n.HandleMessage(1, wire.Shuffle{Reply: true, Entries: []wire.ShuffleEntry{{ID: 1, Age: 9}}})
-	if n.View()[0].Age != 0 {
+	st.Handle(1, wire.Shuffle{Reply: true, Entries: []wire.ShuffleEntry{{ID: 1, Age: 9}}})
+	if st.View()[0].Age != 0 {
 		t.Fatal("older duplicate overwrote younger age")
 	}
-	n.st.view[0].Age = 9
-	n.HandleMessage(1, wire.Shuffle{Reply: true, Entries: []wire.ShuffleEntry{{ID: 1, Age: 2}}})
-	if n.View()[0].Age != 2 {
+	st.view[0].Age = 9
+	st.Handle(1, wire.Shuffle{Reply: true, Entries: []wire.ShuffleEntry{{ID: 1, Age: 2}}})
+	if st.View()[0].Age != 2 {
 		t.Fatal("younger duplicate did not refresh age")
 	}
 }
 
 func TestNewRejectsBadConfig(t *testing.T) {
-	sched := sim.New(4)
-	b := &bus{sched: sched, nodes: make(map[wire.NodeID]*Node)}
-	env := &busEnv{id: 0, bus: b, rng: rand.New(rand.NewSource(1))}
 	bad := DefaultConfig()
 	bad.ViewSize = 0
-	if _, err := New(env, bad, nil); err == nil {
+	if _, err := NewState(0, bad, 1, []wire.NodeID{1}); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }

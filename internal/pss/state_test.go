@@ -125,7 +125,7 @@ func TestStateStoppedInert(t *testing.T) {
 
 // TestStateDeterministicTwin drives two identically seeded records through
 // the same interaction sequence; every emission and the final views must
-// match — the property the sharded engine's fixed-(seed, shards)
+// match — the property the engine's fixed-(seed, shards)
 // reproducibility rests on.
 func TestStateDeterministicTwin(t *testing.T) {
 	mk := func() *State { return newState(t, 0, 77, 1, 2, 3, 4, 5) }

@@ -1,6 +1,6 @@
 // Package hotalloc audits allocation discipline on the per-event hot
-// path. PR 2 replaced simnet's closure-per-message scheduling with compact
-// 64-byte event records precisely because closure and interface-header
+// path. The engine schedules compact 64-byte event records instead of a
+// closure per message precisely because closure and interface-header
 // allocations per event dominate at 100k nodes; this analyzer keeps that
 // discipline honest as the scheduler and arenas are rewritten.
 //

@@ -70,7 +70,7 @@ type Config struct {
 
 // Default returns the repository's contract: the packages whose state
 // feeds fixed-seed replay are deterministic, the GF(256)/FEC kernels and
-// the sharded engine's dispatch loop are hot, and only the real-time
+// the engine's dispatch loop are hot, and only the real-time
 // runtime and the command mains may touch the wall clock.
 func Default() *Config {
 	return &Config{

@@ -17,7 +17,7 @@ func TestClassify(t *testing.T) {
 		"gossipstream/internal/rt":         WallClockOK,
 		"gossipstream/cmd/gossipsim":       WallClockOK,
 		"gossipstream/examples/megascale":  WallClockOK,
-		"gossipstream/internal/simnet":     Unclassified,
+		"gossipstream/internal/shaping":    Unclassified,
 		"gossipstream/internal/xrand":      Unclassified,
 		"gossipstream":                     Unclassified,
 		"gossipstream/internal/telemetry":  Deterministic,

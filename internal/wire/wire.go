@@ -197,6 +197,10 @@ var (
 // contents.
 var ErrTruncated = errors.New("wire: truncated message")
 
+// ErrOversizedPayload is returned when a SERVE claims a packet payload
+// longer than the stream layout's PayloadBytes.
+var ErrOversizedPayload = errors.New("wire: packet payload exceeds the layout's PayloadBytes")
+
 // Codec encodes and decodes messages for the real-time transport. A Codec
 // needs the stream layout to rebuild packet metadata (window, index,
 // parity) from ids, which are not carried redundantly on the wire.
@@ -267,7 +271,10 @@ func (c *Codec) encodeServe(sender uint32, m Serve) ([]byte, error) {
 }
 
 // Decode parses a datagram produced by Encode, returning the sender id and
-// the message.
+// the message. Datagrams are untrusted: declared counts and lengths are
+// checked against the bytes actually present before anything is sized
+// from them, so what Decode allocates stays within a constant multiple of
+// len(data).
 func (c *Codec) Decode(data []byte) (sender uint32, msg Message, err error) {
 	if len(data) < headerBytes {
 		return 0, nil, ErrTruncated
@@ -290,7 +297,9 @@ func (c *Codec) Decode(data []byte) (sender uint32, msg Message, err error) {
 		}
 		return sender, Request{IDs: ids}, nil
 	case KindServe:
-		packets := make([]*stream.Packet, 0, count)
+		// Every packet costs at least its header, so the body bounds how
+		// many of the claimed count can really follow.
+		packets := make([]*stream.Packet, 0, min(count, len(body)/packetHeaderBytes))
 		off := 0
 		for i := 0; i < count; i++ {
 			if len(body) < off+packetHeaderBytes {
@@ -299,6 +308,9 @@ func (c *Codec) Decode(data []byte) (sender uint32, msg Message, err error) {
 			id := stream.PacketID(binary.BigEndian.Uint32(body[off:]))
 			plen := int(binary.BigEndian.Uint16(body[off+4:]))
 			off += packetHeaderBytes
+			if plen > c.layout.PayloadBytes {
+				return 0, nil, ErrOversizedPayload
+			}
 			if len(body) < off+plen {
 				return 0, nil, ErrTruncated
 			}
